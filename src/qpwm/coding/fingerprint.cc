@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 
+#include "qpwm/coding/trace_lanes.h"
 #include "qpwm/util/check.h"
 #include "qpwm/util/parallel.h"
 
@@ -41,6 +42,32 @@ struct ScanBlock {
 bool AccusationBefore(const Accusation& a, const Accusation& b) {
   if (a.score != b.score) return a.score > b.score;
   return a.recipient < b.recipient;
+}
+
+/// Candidates per lane-scan call: scores and survival flags of one chunk
+/// live on the stack of the block that scans it.
+constexpr size_t kScanChunk = 256;
+
+// One build of the lane scan per target: an AVX2 clone and the baseline,
+// picked once at load time on x86-64; a single portable build elsewhere.
+// Thread-sanitizer builds also get the single build: target_clones
+// dispatches through an ifunc resolver, and an instrumented resolver runs
+// before the TSan runtime is up and crashes the process at load.
+#if defined(__SANITIZE_THREAD__)
+#define QPWM_TRACE_TSAN 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define QPWM_TRACE_TSAN 1
+#endif
+#endif
+#if defined(__x86_64__) && defined(__GNUC__) && !defined(QPWM_TRACE_TSAN)
+__attribute__((target_clones("avx2", "default")))
+#endif
+void ScanLanes(const TardosCode& code,
+               const std::vector<trace_lanes::Position>& table,
+               double prune_below, uint64_t begin, uint64_t end, double* score,
+               bool* alive) {
+  trace_lanes::ScanRange(code, table, prune_below, begin, end, score, alive);
 }
 
 /// Keeps `top` as the best `k` entries seen, sorted by AccusationBefore.
@@ -203,36 +230,33 @@ TraceResult FingerprintedWatermark::TraceMany(const FingerprintObservation& obs,
     const double log10_n = std::log10(static_cast<double>(candidates));
     const double prune_below =
         options.prune ? options.prune_frac * result.threshold : -kInf;
+    const std::vector<trace_lanes::Position> table =
+        trace_lanes::BuildTable(code_, obs, suffix);
     // Each block scans its own candidate range; per-candidate arithmetic is
     // a serial left-to-right sum, so results are independent of the block
     // partition and thread schedule. Blocks arrive in candidate order.
     std::vector<ScanBlock> blocks = ParallelBlocks<ScanBlock>(
         static_cast<size_t>(candidates), [&](size_t begin, size_t end) {
           ScanBlock block;
-          for (size_t j = begin; j < end; ++j) {
-            TardosCode::Stream stream = code_.StreamOf(j);
-            double score = 0;
-            bool abandoned = false;
-            for (size_t i = 0; i < n; ++i) {
-              score += stream.NextBit() ? obs.score_if_one[i]
-                                        : obs.score_if_zero[i];
-              if (score + suffix[i + 1] < prune_below) {
-                abandoned = true;
-                break;
+          double score[kScanChunk] = {};
+          bool alive[kScanChunk] = {};
+          for (size_t chunk = begin; chunk < end; chunk += kScanChunk) {
+            const size_t chunk_end = std::min(end, chunk + kScanChunk);
+            ScanLanes(code_, table, prune_below, chunk, chunk_end, score, alive);
+            for (size_t j = chunk; j < chunk_end; ++j) {
+              if (!alive[j - chunk]) {
+                ++block.pruned;
+                continue;
               }
+              Accusation a;
+              a.recipient = j;
+              a.score = score[j - chunk];
+              a.log10_fp = std::min(
+                  0.0, log10_n + NullTailLog10(a.score, obs.null_variance,
+                                               obs.max_term));
+              if (a.score >= result.threshold) block.accused.push_back(a);
+              InsertTopK(block.top, a, options.top_k);
             }
-            if (abandoned) {
-              ++block.pruned;
-              continue;
-            }
-            Accusation a;
-            a.recipient = j;
-            a.score = score;
-            a.log10_fp = std::min(
-                0.0, log10_n + NullTailLog10(score, obs.null_variance,
-                                             obs.max_term));
-            if (score >= result.threshold) block.accused.push_back(a);
-            InsertTopK(block.top, a, options.top_k);
           }
           return block;
         });

@@ -84,6 +84,8 @@ class TardosCode {
   class Stream {
    public:
     bool NextBit() { return rng_.NextDouble() < code_->biases_[pos_++]; }
+    /// The generator behind the stream (read-only).
+    const Rng& rng() const { return rng_; }
 
    private:
     friend class TardosCode;
@@ -224,10 +226,11 @@ class FingerprintedWatermark {
                              uint64_t candidates) const;
 
   /// Scores candidates 0..candidates-1 against one observation: a parallel
-  /// flat-array scan over the pool (QPWM_THREADS), bit-identical to the
-  /// serial scan for any thread count. Accuses every candidate whose score
-  /// clears AccusationThreshold; an empty accused set degrades the verdict
-  /// instead of lowering the bar.
+  /// flat-array scan over the pool (QPWM_THREADS) that scores four
+  /// candidates in lockstep (coding/trace_lanes.h), bit-identical to a
+  /// serial one-candidate-at-a-time scan for any thread count. Accuses
+  /// every candidate whose score clears AccusationThreshold; an empty
+  /// accused set degrades the verdict instead of lowering the bar.
   TraceResult TraceMany(const FingerprintObservation& obs, uint64_t candidates,
                         const TraceOptions& options = {}) const;
 

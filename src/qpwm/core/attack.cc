@@ -210,6 +210,26 @@ void TamperedAnswerServer::Tamper(const Tuple& params, AnswerSet& rows) const {
   rows.insert(rows.end(), inserted_everywhere_.begin(), inserted_everywhere_.end());
 }
 
+void TamperedAnswerServer::Erase(const Tuple& element) {
+  if (!erased_.insert(element).second) return;
+  if (element.size() != 1) {
+    ++erased_wide_;
+    return;
+  }
+  if (element[0] >= erased_unary_.size()) {
+    erased_unary_.resize(static_cast<size_t>(element[0]) + 1);
+  }
+  erased_unary_[element[0]] = true;
+}
+
+bool TamperedAnswerServer::IsErased(const ElemId* elems, size_t size,
+                                    Tuple& scratch) const {
+  if (size == 1) return elems[0] < erased_unary_.size() && erased_unary_[elems[0]];
+  if (erased_wide_ == 0) return false;
+  scratch.assign(elems, elems + size);
+  return erased_.count(scratch) != 0;
+}
+
 AnswerSet TamperedAnswerServer::Answer(const Tuple& params) const {
   AnswerSet out = base_->Answer(params);
   Tamper(params, out);
@@ -221,6 +241,93 @@ std::vector<AnswerSet> TamperedAnswerServer::AnswerBatch(
   std::vector<AnswerSet> out = AnswerAll(*base_, params);
   for (size_t i = 0; i < params.size(); ++i) Tamper(params[i], out[i]);
   return out;
+}
+
+void TamperedAnswerServer::AnswerAllFlat(const std::vector<Tuple>& params,
+                                         FlatAnswerBatch& out) const {
+  qpwm::AnswerAllFlat(*base_, params, out);
+  const size_t num_params = out.num_params();
+
+  // Erasures: compact the rows in place, front to back. The write cursor
+  // never passes the read cursor, and each offset is read before its slot
+  // is rewritten.
+  if (!erased_.empty()) {
+    Tuple scratch;
+    size_t rows = 0;
+    size_t elems = 0;
+    size_t row = 0;
+    for (size_t p = 0; p < num_params; ++p) {
+      for (const size_t end_row = out.param_offsets[p + 1]; row < end_row; ++row) {
+        const uint32_t begin = out.elem_offsets[row];
+        const uint32_t end = out.elem_offsets[row + 1];
+        if (IsErased(out.elems.data() + begin, end - begin, scratch)) continue;
+        if (elems != begin) {
+          std::copy(out.elems.data() + begin, out.elems.data() + end,
+                    out.elems.data() + elems);
+        }
+        elems += end - begin;
+        out.weights[rows] = out.weights[row];
+        out.elem_offsets[++rows] = static_cast<uint32_t>(elems);
+      }
+      out.param_offsets[p + 1] = static_cast<uint32_t>(rows);
+    }
+    out.elems.resize(elems);
+    out.weights.resize(rows);
+    out.elem_offsets.resize(rows + 1);
+  }
+
+  // Insertions: parameter p gains its InsertAt rows, then the
+  // InsertEverywhere rows. Grow the arrays once, then fill them back to
+  // front: every row moves to a slot at or after its old one, so nothing is
+  // overwritten before it has moved.
+  if (inserted_at_.empty() && inserted_everywhere_.empty()) return;
+  std::vector<const AnswerSet*> planted(num_params, nullptr);
+  size_t rows = out.num_rows();
+  size_t elems = out.elems.size();
+  auto grow = [&](const AnswerSet& added) {
+    rows += added.size();
+    for (const AnswerRow& r : added) elems += r.element.size();
+  };
+  for (size_t p = 0; p < num_params; ++p) {
+    if (!inserted_at_.empty()) {
+      auto it = inserted_at_.find(params[p]);
+      if (it != inserted_at_.end()) {
+        planted[p] = &it->second;
+        grow(it->second);
+      }
+    }
+    grow(inserted_everywhere_);
+  }
+  out.weights.resize(rows);
+  out.elems.resize(elems);
+  out.elem_offsets.resize(rows + 1);
+  // Writes row (element range, weight) into the slot just before the cursor.
+  auto put = [&](const ElemId* begin, const ElemId* end, Weight w) {
+    out.elem_offsets[rows] = static_cast<uint32_t>(elems);
+    elems -= static_cast<size_t>(end - begin);
+    if (out.elems.data() + elems != begin) {
+      std::copy_backward(begin, end, out.elems.data() + elems + (end - begin));
+    }
+    out.weights[--rows] = w;
+  };
+  auto put_all = [&](const AnswerSet& added) {
+    for (size_t k = added.size(); k-- > 0;) {
+      const Tuple& e = added[k].element;
+      put(e.data(), e.data() + e.size(), added[k].weight);
+    }
+  };
+  for (size_t p = num_params; p-- > 0;) {
+    const uint32_t first = out.param_offsets[p];
+    const uint32_t last = out.param_offsets[p + 1];
+    out.param_offsets[p + 1] = static_cast<uint32_t>(rows);
+    put_all(inserted_everywhere_);
+    if (planted[p] != nullptr) put_all(*planted[p]);
+    for (uint32_t row = last; row-- > first;) {
+      const ElemId* data = out.elems.data();
+      put(data + out.elem_offsets[row], data + out.elem_offsets[row + 1],
+          out.weights[row]);
+    }
+  }
 }
 
 std::vector<Tuple> SampleSubset(const std::vector<Tuple>& elements, double frac,

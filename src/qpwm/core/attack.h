@@ -169,13 +169,13 @@ const std::vector<std::string>& KnownCollusionSpecs();
 /// model is preserved — detection still only sees answers. The base server
 /// must outlive the wrapper. Batch requests are forwarded to the base as a
 /// batch (AnswerAll) and tampered per answer, so a batching base keeps its
-/// amortization under attack.
+/// amortization under attack; flat requests stay flat end to end.
 class TamperedAnswerServer : public BatchAnswerServer {
  public:
   explicit TamperedAnswerServer(const AnswerServer& base) : base_(&base) {}
 
   /// Removes `element` from every answer (tuple deletion / subset shipping).
-  void Erase(const Tuple& element) { erased_.insert(element); }
+  void Erase(const Tuple& element);
 
   /// Appends `row` to the answer of parameter `param` only.
   void InsertAt(const Tuple& param, AnswerRow row) {
@@ -191,13 +191,24 @@ class TamperedAnswerServer : public BatchAnswerServer {
 
   AnswerSet Answer(const Tuple& params) const override;
   std::vector<AnswerSet> AnswerBatch(const std::vector<Tuple>& params) const override;
+  /// Same rows as AnswerBatch: the base's flat batch with erased rows
+  /// dropped in place, then each parameter's InsertAt rows and the
+  /// InsertEverywhere rows appended, in Tamper's order.
+  void AnswerAllFlat(const std::vector<Tuple>& params,
+                     FlatAnswerBatch& out) const override;
 
  private:
   /// Applies erasures and insertions for `params` to base rows, in place.
   void Tamper(const Tuple& params, AnswerSet& rows) const;
+  /// Whether the row element elems[0, size) was erased.
+  bool IsErased(const ElemId* elems, size_t size, Tuple& scratch) const;
 
   const AnswerServer* base_;
   std::unordered_set<Tuple, TupleHash> erased_;
+  /// Dense mirror of the arity-1 entries of erased_: erased_unary_[e] is
+  /// set iff {e} is erased. erased_wide_ counts the other entries.
+  std::vector<bool> erased_unary_;
+  size_t erased_wide_ = 0;
   std::unordered_map<Tuple, AnswerSet, TupleHash> inserted_at_;
   AnswerSet inserted_everywhere_;
 };

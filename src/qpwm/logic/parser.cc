@@ -117,10 +117,29 @@ class Parser {
     return acc;
   }
 
+  /// Holds one nesting level for the life of a recursive step.
+  class Nesting {
+   public:
+    explicit Nesting(size_t& depth) : depth_(depth) { ++depth_; }
+    ~Nesting() { --depth_; }
+    Nesting(const Nesting&) = delete;
+    Nesting& operator=(const Nesting&) = delete;
+
+   private:
+    size_t& depth_;
+  };
+
+  Status TooDeep() const {
+    return Status::ParseError(StrCat("nesting depth exceeds limit ", kMaxFormulaDepth,
+                                     " at position ", Peek().pos));
+  }
+
   Result<FormulaPtr> ParseImpl() {
     auto lhs = ParseOr();
     if (!lhs.ok()) return lhs;
     if (Accept(TokKind::kImpl)) {
+      Nesting nest(depth_);
+      if (depth_ > kMaxFormulaDepth) return TooDeep();
       auto rhs = ParseImpl();  // right-associative
       if (!rhs.ok()) return rhs;
       return MakeOr(MakeNot(std::move(lhs).value()), std::move(rhs).value());
@@ -153,6 +172,9 @@ class Parser {
   }
 
   Result<FormulaPtr> ParseUnary() {
+    // Every `~`, quantifier and parenthesis recurses through here.
+    Nesting nest(depth_);
+    if (depth_ > kMaxFormulaDepth) return TooDeep();
     if (Accept(TokKind::kNot)) {
       auto inner = ParseUnary();
       if (!inner.ok()) return inner;
@@ -231,6 +253,7 @@ class Parser {
 
   std::vector<Token> toks_;
   size_t idx_ = 0;
+  size_t depth_ = 0;
 };
 
 }  // namespace

@@ -7,12 +7,20 @@
 #ifndef QPWM_LOGIC_PARSER_H_
 #define QPWM_LOGIC_PARSER_H_
 
+#include <cstddef>
 #include <string_view>
 
 #include "qpwm/logic/formula.h"
 #include "qpwm/util/status.h"
 
 namespace qpwm {
+
+/// Nesting levels ParseFormula accepts, the innermost formula included: each
+/// `~`, quantifier, parenthesis and right-nested `->` opens one. The parser
+/// recurses a few frames per level, so the limit bounds stack use on hostile
+/// input the way XmlParseLimits::max_depth does for XML; deeper input is a
+/// ParseError.
+inline constexpr size_t kMaxFormulaDepth = 1024;
 
 /// Parses a formula; returns ParseError with position context on failure.
 [[nodiscard]] Result<FormulaPtr> ParseFormula(std::string_view text);

@@ -43,13 +43,17 @@ class ThreadPool {
     const size_t want = total_threads == 0 ? 0 : total_threads - 1;
     if (want == workers_.size()) return;
     Shutdown();
+    uint64_t generation = 0;
     {
       std::lock_guard<std::mutex> job_lock(mu_);
       stop_ = false;
+      generation = generation_;
     }
+    // A new worker starts at the current generation: the jobs before it are
+    // finished, and waking for one would drain a cleared body_.
     workers_.reserve(want);
     for (size_t i = 0; i < want; ++i) {
-      workers_.emplace_back([this] { WorkerLoop(); });
+      workers_.emplace_back([this, generation] { WorkerLoop(generation); });
     }
   }
 
@@ -101,8 +105,7 @@ class ThreadPool {
 
   void Drain(const std::function<void(size_t)>& body);
 
-  void WorkerLoop() {
-    uint64_t seen = 0;
+  void WorkerLoop(uint64_t seen) {
     for (;;) {
       const std::function<void(size_t)>* body;
       {

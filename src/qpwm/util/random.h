@@ -7,6 +7,7 @@
 #ifndef QPWM_UTIL_RANDOM_H_
 #define QPWM_UTIL_RANDOM_H_
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -82,6 +83,12 @@ class Rng {
 
   /// Samples k distinct indices from [0, n) (k <= n), in random order.
   std::vector<size_t> SampleWithoutReplacement(size_t n, size_t k);
+
+  /// The current xoshiro256** state words s[0..3], for scans that step
+  /// several generators in lockstep outside this class.
+  std::array<uint64_t, 4> state() const {
+    return {state_[0], state_[1], state_[2], state_[3]};
+  }
 
  private:
   static uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }

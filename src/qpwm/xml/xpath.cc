@@ -104,9 +104,12 @@ Result<FormulaPtr> XPathQuery::ToMso(const EncodedXml& encoded) const {
   int fresh = 0;
 
   // Step variables: x0 .. x_{k-2}, then "v" for the final step.
-  std::vector<std::string> step_var(steps_.size());
-  for (size_t i = 0; i + 1 < steps_.size(); ++i) step_var[i] = StrCat("x", i);
-  step_var.back() = "v";
+  // Built by construction, not assignment: assigning a literal into an
+  // existing string trips gcc 12's -Wrestrict false positive at -O3.
+  std::vector<std::string> step_var;
+  step_var.reserve(steps_.size());
+  for (size_t i = 0; i + 1 < steps_.size(); ++i) step_var.push_back(StrCat("x", i));
+  step_var.emplace_back("v");
 
   // Constraints, conjoined innermost-out so each exists wraps tightly.
   FormulaPtr body = nullptr;

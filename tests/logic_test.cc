@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "qpwm/logic/evaluator.h"
 #include "qpwm/logic/locality.h"
 #include "qpwm/logic/parser.h"
@@ -66,6 +68,50 @@ TEST(ParserTest, Errors) {
   EXPECT_FALSE(ParseFormula("E(x, y) E(y, x)").ok());
   EXPECT_FALSE(ParseFormula("@").ok());
   EXPECT_FALSE(ParseFormula("x <").ok());
+}
+
+// Hostile nesting must come back as a ParseError: without the depth limit
+// the recursive descent overflows the stack at 10^5 nested `~`.
+TEST(ParserTest, DeepNestingIsAParseErrorNotACrash) {
+  for (size_t depth : {size_t{100000}, size_t{1000000}}) {
+    const std::string nots = std::string(depth, '~') + "x = y";
+    auto f = ParseFormula(nots);
+    ASSERT_FALSE(f.ok()) << depth;
+    EXPECT_EQ(f.status().code(), StatusCode::kParseError) << depth;
+    EXPECT_NE(f.status().message().find("nesting depth"), std::string::npos);
+  }
+  const size_t depth = 100000;
+  std::string parens = std::string(depth, '(') + "x = y" + std::string(depth, ')');
+  std::string quantifiers;
+  std::string implications;
+  for (size_t i = 0; i < depth; ++i) {
+    quantifiers += "exists y ";
+    implications += "x = y -> ";
+  }
+  quantifiers += "x = y";
+  implications += "x = y";
+  for (const std::string& text : {parens, quantifiers, implications}) {
+    auto f = ParseFormula(text);
+    ASSERT_FALSE(f.ok());
+    EXPECT_EQ(f.status().code(), StatusCode::kParseError);
+  }
+}
+
+TEST(ParserTest, NestingUpToTheLimitParses) {
+  auto nots = ParseFormula(std::string(1000, '~') + "x = y");
+  ASSERT_TRUE(nots.ok()) << nots.status().message();
+  const Formula* f = nots.value().get();
+  for (size_t i = 0; i < 1000; ++i) {
+    ASSERT_EQ(f->kind, FormulaKind::kNot) << i;
+    f = f->left.get();
+  }
+  EXPECT_EQ(f->kind, FormulaKind::kEq);
+
+  const size_t depth = kMaxFormulaDepth - 1;
+  auto parens = ParseFormula(std::string(depth, '(') + "x = y" + std::string(depth, ')'));
+  EXPECT_TRUE(parens.ok()) << parens.status().message();
+  auto over = ParseFormula(std::string(kMaxFormulaDepth + 1, '~') + "x = y");
+  EXPECT_FALSE(over.ok());
 }
 
 TEST(ParserTest, RoundTripThroughToString) {

@@ -5,9 +5,12 @@
 #include "qpwm/core/adversarial.h"
 #include "qpwm/core/attack.h"
 #include "qpwm/core/local_scheme.h"
+#include "qpwm/core/tree_scheme.h"
+#include "qpwm/logic/parser.h"
 #include "qpwm/logic/query.h"
 #include "qpwm/relational/table.h"
 #include "qpwm/structure/generators.h"
+#include "qpwm/tree/mso.h"
 #include "qpwm/util/random.h"
 #include "qpwm/xml/attack.h"
 #include "qpwm/xml/parser.h"
@@ -88,6 +91,111 @@ TEST(StructuralAttackTest, TamperedServerErasesAndInserts) {
     }
     EXPECT_TRUE(found);
   }
+}
+
+// --- Flat tampered serving ----------------------------------------------------
+
+/// Requires AnswerAllFlat to return exactly AnswerBatch's rows, parameter by
+/// parameter and row by row, into a batch that held stale rows before.
+void ExpectFlatMatchesBatch(const TamperedAnswerServer& server,
+                            const std::vector<Tuple>& params) {
+  const std::vector<AnswerSet> want = server.AnswerBatch(params);
+  FlatAnswerBatch flat;
+  flat.AppendRow(Tuple{7, 7, 7}, 99);
+  flat.FinishParam();
+  server.AnswerAllFlat(params, flat);
+  ASSERT_EQ(flat.num_params(), params.size());
+  ASSERT_EQ(flat.elem_offsets.size(), flat.num_rows() + 1);
+  ASSERT_EQ(flat.elem_offsets.back(), flat.elems.size());
+  for (size_t p = 0; p < params.size(); ++p) {
+    const size_t first = flat.param_offsets[p];
+    ASSERT_EQ(flat.param_offsets[p + 1] - first, want[p].size()) << "param " << p;
+    for (size_t k = 0; k < want[p].size(); ++k) {
+      const size_t r = first + k;
+      const Tuple got(flat.elems.begin() + flat.elem_offsets[r],
+                      flat.elems.begin() + flat.elem_offsets[r + 1]);
+      EXPECT_EQ(got, want[p][k].element) << "param " << p << " row " << k;
+      EXPECT_EQ(flat.weights[r], want[p][k].weight) << "param " << p << " row " << k;
+    }
+  }
+}
+
+/// A non-batch server whose rows are pairs and singletons: parameter {a}
+/// answers (a, a+1), (a+1, a+2) and (a).
+class PairRowServer : public AnswerServer {
+ public:
+  AnswerSet Answer(const Tuple& params) const override {
+    const ElemId a = params[0];
+    return {{Tuple{a, a + 1}, 10 + a}, {Tuple{a + 1, a + 2}, 20 + a}, {Tuple{a}, 30 + a}};
+  }
+};
+
+TEST(StructuralAttackTest, FlatTamperedRowsMatchBatchOverHonestServer) {
+  Rng rng(81);
+  Structure g = RandomBoundedDegreeGraph(200, 3, 600, false, rng);
+  auto query = AtomQuery::Adjacency("E");
+  // A partial domain: the held-out parameters are served by direct
+  // evaluation, outside the index.
+  std::vector<Tuple> domain = AllParams(g, 1);
+  const std::vector<Tuple> params = domain;
+  domain.resize(domain.size() - 20);
+  QueryIndex index(g, *query, domain);
+  HonestServer base(index, RandomWeights(g, 1000, 9999, rng));
+  TamperedAnswerServer server(base);
+
+  ExpectFlatMatchesBatch(server, params);
+  for (const Tuple& t : SubsetDeletionAttack(index, 0.3, rng)) server.Erase(t);
+  server.Erase(params.back());  // an element only out-of-domain answers hold
+  ExpectFlatMatchesBatch(server, params);
+  TupleInsertionAttack(server, index, base.weights(), 40, rng);
+  server.InsertAt(params.back(), {Tuple{5000}, 1});
+  server.InsertAt(params.back(), {Tuple{5001, 5002}, 2});
+  ExpectFlatMatchesBatch(server, params);
+  server.InsertEverywhere({Tuple{6000}, 3});
+  server.InsertEverywhere({Tuple{6001, 6002}, 4});
+  ExpectFlatMatchesBatch(server, params);
+  // Erasure reaches planted rows too, and repeated parameters stay aligned.
+  server.Erase(Tuple{6000});
+  ExpectFlatMatchesBatch(server, {params[3], params.back(), params[3]});
+  ExpectFlatMatchesBatch(server, {});
+}
+
+TEST(StructuralAttackTest, FlatTamperedRowsMatchBatchOverNonBatchServers) {
+  // Pair rows: arity-2 erasures next to unary ones.
+  PairRowServer pairs;
+  TamperedAnswerServer tampered_pairs(pairs);
+  std::vector<Tuple> params;
+  for (ElemId a = 0; a < 30; ++a) params.push_back(Tuple{a});
+  tampered_pairs.Erase(Tuple{4, 5});
+  tampered_pairs.Erase(Tuple{9});
+  tampered_pairs.Erase(Tuple{12, 13, 14});
+  ExpectFlatMatchesBatch(tampered_pairs, params);
+  tampered_pairs.InsertAt(Tuple{2}, {Tuple{100, 101}, 5});
+  tampered_pairs.InsertEverywhere({Tuple{102}, 6});
+  ExpectFlatMatchesBatch(tampered_pairs, params);
+
+  // A tree server answers one parameter at a time.
+  Alphabet sigma;
+  sigma.Intern("a");
+  sigma.Intern("b");
+  sigma.Intern("c");
+  Dta query = CompileMso(*MustParseFormula("LEQ(u, v) & P_b(v)"), sigma, {"u", "v"})
+                  .ValueOrDie()
+                  .dta;
+  Rng rng(82);
+  BinaryTree t = RandomBinaryTree(300, 3, rng);
+  WeightMap weights(1, t.size());
+  for (NodeId v = 0; v < t.size(); ++v) weights.SetElem(v, rng.Uniform(1, 1000));
+  HonestTreeServer tree(t, t.labels(), 3, query, 1, weights);
+  TamperedAnswerServer tampered_tree(tree);
+  std::vector<Tuple> nodes;
+  for (NodeId v = 0; v < t.size(); v += 7) nodes.push_back(Tuple{v});
+  ExpectFlatMatchesBatch(tampered_tree, nodes);
+  for (NodeId v = 0; v < t.size(); v += 5) tampered_tree.Erase(Tuple{v});
+  ExpectFlatMatchesBatch(tampered_tree, nodes);
+  tampered_tree.InsertAt(nodes[1], {Tuple{9000}, 7});
+  tampered_tree.InsertEverywhere({Tuple{9001}, 8});
+  ExpectFlatMatchesBatch(tampered_tree, nodes);
 }
 
 TEST(StructuralAttackTest, FullMarkSurvivesThirtyPercentPairDeletion) {
