@@ -185,6 +185,7 @@ struct TreeFixtureData {
   Alphabet sigma;
   BinaryTree tree;
   Dta dta{0, 1};
+  StepTable table{dta};  // rebuilt from the compiled automaton below
 
   explicit TreeFixtureData(size_t n) {
     sigma.Intern("a");
@@ -195,6 +196,7 @@ struct TreeFixtureData {
     dta = CompileMso(*MustParseFormula("LEQ(u, v) & P_b(v)"), sigma, {"u", "v"})
               .ValueOrDie()
               .dta;
+    table = StepTable(dta);
   }
 };
 
@@ -202,7 +204,7 @@ void BM_AutomatonRun(benchmark::State& state) {
   TreeFixtureData fixture(static_cast<size_t>(state.range(0)));
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        fixture.dta.RunRoot(fixture.tree, fixture.tree.labels()));
+        fixture.table.Run(fixture.tree, fixture.tree.labels())[fixture.tree.root()]);
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
@@ -213,7 +215,7 @@ void BM_EvaluateWa(benchmark::State& state) {
   NodeId a = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        EvaluateWa(fixture.tree, fixture.tree.labels(), 3, fixture.dta, 1, a));
+        EvaluateWa(fixture.tree, fixture.tree.labels(), 3, fixture.table, 1, a));
     a = (a + 1) % fixture.tree.size();
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
@@ -225,7 +227,7 @@ void BM_FindMarkRegions(benchmark::State& state) {
   for (auto _ : state) {
     DecompositionStats stats;
     benchmark::DoNotOptimize(FindMarkRegions(fixture.tree, fixture.tree.labels(), 3,
-                                             fixture.dta, 1, {}, &stats));
+                                             fixture.table, 1, {}, &stats));
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }

@@ -44,10 +44,11 @@ int main() {
       BitVec mark(scheme.CapacityBits(), true);
       marked = scheme.Embed(enc.weights, mark);
     }
+    const StepTable step_table(compiled.dta);
     for (NodeId p : query.ParamTreeNodes(enc)) {
       Weight f0 = 0, f1 = 0;
       for (NodeId b :
-           EvaluateWa(enc.tree, enc.tree.labels(), base, compiled.dta, 1, p)) {
+           EvaluateWa(enc.tree, enc.tree.labels(), base, step_table, 1, p)) {
         f0 += enc.weights.GetElem(b);
         f1 += marked.GetElem(b);
       }
@@ -86,10 +87,11 @@ int main() {
       Weight worst = 0;
       bool detect_ok = true;
       if (students <= 800) {
+        const StepTable step_table(compiled.dta);
         for (NodeId p : query.ParamTreeNodes(enc)) {
           Weight f0 = 0, f1 = 0;
           for (NodeId b :
-               EvaluateWa(enc.tree, enc.tree.labels(), base, compiled.dta, 1, p)) {
+               EvaluateWa(enc.tree, enc.tree.labels(), base, step_table, 1, p)) {
             f0 += enc.weights.GetElem(b);
             f1 += marked.GetElem(b);
           }

@@ -57,6 +57,12 @@ struct FlatAnswerBatch {
     elem_offsets.push_back(static_cast<uint32_t>(elems.size()));
     weights.push_back(w);
   }
+  /// AppendRow for a one-element row, without building a Tuple.
+  void AppendUnaryRow(ElemId element, Weight w) {
+    elems.push_back(element);
+    elem_offsets.push_back(static_cast<uint32_t>(elems.size()));
+    weights.push_back(w);
+  }
   /// Closes the current parameter's row range.
   void FinishParam() {
     param_offsets.push_back(static_cast<uint32_t>(num_rows()));
@@ -199,7 +205,8 @@ class BatchAnswerServer : public AnswerServer {
 
   /// Columnar AnswerBatch: same rows in the same order, written into a
   /// caller-owned (reusable) batch. The default converts AnswerBatch();
-  /// servers with flat internals (HonestServer, ServingSnapshot) override to
+  /// servers with flat internals (HonestServer, ServingSnapshot,
+  /// HonestTreeServer) override to
   /// skip the per-row AnswerSet materialization entirely.
   virtual void AnswerAllFlat(const std::vector<Tuple>& params,
                              FlatAnswerBatch& out) const;

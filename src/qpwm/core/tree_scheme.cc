@@ -1,6 +1,7 @@
 #include "qpwm/core/tree_scheme.h"
 
 #include <algorithm>
+#include <optional>
 #include <unordered_map>
 
 #include "qpwm/tree/query.h"
@@ -10,14 +11,28 @@
 
 namespace qpwm {
 
-AnswerSet HonestTreeServer::Answer(const Tuple& params) const {
-  QPWM_CHECK_EQ(params.size(), param_arity_);
+std::vector<NodeId> HonestTreeServer::Evaluate(const Tuple& params) const {
+  if (params.size() != param_arity_) return {};
+  if (param_arity_ == 1 && params[0] >= t_->size()) return {};
   NodeId a = param_arity_ == 1 ? params[0] : 0;
+  return EvaluateWa(*t_, *labels_, base_count_, table_, param_arity_, a);
+}
+
+AnswerSet HonestTreeServer::Answer(const Tuple& params) const {
   AnswerSet out;
-  for (NodeId b : EvaluateWa(*t_, *labels_, base_count_, *dta_, param_arity_, a)) {
+  for (NodeId b : Evaluate(params)) {
     out.push_back({Tuple{b}, weights_.GetElem(b)});
   }
   return out;
+}
+
+void HonestTreeServer::AnswerAllFlat(const std::vector<Tuple>& params,
+                                     FlatAnswerBatch& out) const {
+  out.Clear();
+  for (const Tuple& p : params) {
+    for (NodeId b : Evaluate(p)) out.AppendUnaryRow(b, weights_.GetElem(b));
+    out.FinishParam();
+  }
 }
 
 Result<TreeScheme> TreeScheme::Plan(const BinaryTree& t,
@@ -33,30 +48,38 @@ Result<TreeScheme> TreeScheme::Plan(const BinaryTree& t,
     return Status::InvalidArgument(
         "automaton alphabet does not match base alphabet x pebble tracks");
   }
+  if (labels.size() != t.size()) {
+    return Status::InvalidArgument("one label per tree node required");
+  }
+  for (uint32_t label : labels) {
+    if (label >= base_count) {
+      return Status::InvalidArgument("tree label outside the base alphabet");
+    }
+  }
 
   TreeScheme scheme;
   scheme.t_ = &t;
-  scheme.labels_ = &labels;
-  scheme.base_count_ = base_count;
-  scheme.dta_ = &dta;
-  scheme.param_arity_ = param_arity;
   scheme.options_ = options;
+
+  // One step table per automaton run below, built once and shared by every
+  // run (and every witness-pool worker) over it.
+  const StepTable query(dta);
 
   // Active weighted elements: W = union over a of W_a. Pair candidates are
   // restricted to W so every hidden bit stays readable through answers.
   std::vector<bool> active(t.size(), false);
   {
-    Dta exists_a = param_arity == 1 ? ProjectParamTrack(dta, base_count) : dta;
-    for (NodeId b : EvaluateWa(t, labels, base_count, exists_a, 0, 0)) {
-      active[b] = true;
-    }
+    std::optional<StepTable> projected;
+    if (param_arity == 1) projected.emplace(ProjectParamTrack(dta, base_count));
+    const StepTable& exists_a = projected ? *projected : query;
+    for (NodeId b : EvaluateWa(t, labels, base_count, exists_a, 0, 0)) active[b] = true;
   }
 
   DecompositionOptions dopts;
   dopts.shuffle_seed = options.key.Derive(0xDEC0).k0;
   dopts.min_region_size = options.min_region_size;
   dopts.max_region_size = options.max_region_size;
-  scheme.regions_ = FindMarkRegions(t, labels, base_count, dta, param_arity, dopts,
+  scheme.regions_ = FindMarkRegions(t, labels, base_count, query, param_arity, dopts,
                                     &scheme.stats_, &active);
 
   // Witness discovery. Fast path: precompute the answer bitmaps of a small
@@ -85,7 +108,7 @@ Result<TreeScheme> TreeScheme::Plan(const BinaryTree& t,
     std::vector<std::vector<bool>> memberships =
         ParallelMap<std::vector<bool>>(candidates.size(), [&](size_t i) {
           std::vector<bool> member(t.size(), false);
-          for (NodeId b : EvaluateWa(t, labels, base_count, dta, 1, candidates[i])) {
+          for (NodeId b : EvaluateWa(t, labels, base_count, query, 1, candidates[i])) {
             member[b] = true;
           }
           return member;
@@ -96,8 +119,8 @@ Result<TreeScheme> TreeScheme::Plan(const BinaryTree& t,
     }
   }
 
-  Dta swapped = param_arity == 1 ? SwapPebbleTracks(dta, base_count)
-                                 : Dta(0, base_count * 2);
+  // The exact reverse run is needed only for pairs the pool misses.
+  std::optional<StepTable> swapped;
   for (size_t region_idx = 0; region_idx < scheme.regions_.size(); ++region_idx) {
     const MarkRegion& region = scheme.regions_[region_idx];
     if (!region.paired()) continue;
@@ -105,7 +128,7 @@ Result<TreeScheme> TreeScheme::Plan(const BinaryTree& t,
     if (param_arity == 0) {
       // Single (empty) parameter; the active filter already guarantees
       // membership, but verify defensively.
-      if (MemberWa(t, labels, base_count, dta, 0, 0, region.b_plus)) {
+      if (MemberWa(t, labels, base_count, query, 0, 0, region.b_plus)) {
         scheme.pairs_.push_back({region.b_plus, region.b_minus, Tuple{}});
       }
       continue;
@@ -122,9 +145,10 @@ Result<TreeScheme> TreeScheme::Plan(const BinaryTree& t,
     }
     if (found) continue;
 
-    for (NodeId a : EvaluateWa(t, labels, base_count, swapped, 1, region.b_plus)) {
+    if (!swapped) swapped.emplace(SwapPebbleTracks(dta, base_count));
+    for (NodeId a : EvaluateWa(t, labels, base_count, *swapped, 1, region.b_plus)) {
       if (region_of[a] == static_cast<NodeId>(region_idx)) continue;
-      QPWM_CHECK(MemberWa(t, labels, base_count, dta, 1, a, region.b_minus));
+      QPWM_CHECK(MemberWa(t, labels, base_count, query, 1, a, region.b_minus));
       scheme.pairs_.push_back({region.b_plus, region.b_minus, Tuple{a}});
       break;
     }

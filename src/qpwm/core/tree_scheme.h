@@ -41,7 +41,11 @@ struct TreeSchemeOptions {
 };
 
 /// A server honestly answering the automaton query over a weighted tree.
-class HonestTreeServer : public AnswerServer {
+/// It builds the query's StepTable once, at construction (so `dta` need not
+/// outlive it), and serves batches flat: AnswerAllFlat writes unary rows
+/// straight into the batch, with no AnswerSet in between. A parameter of the
+/// wrong arity, or a node outside the tree, gets an empty answer.
+class HonestTreeServer : public BatchAnswerServer {
  public:
   HonestTreeServer(const BinaryTree& t, const std::vector<uint32_t>& labels,
                    uint32_t base_count, const Dta& dta, uint32_t param_arity,
@@ -49,19 +53,24 @@ class HonestTreeServer : public AnswerServer {
       : t_(&t),
         labels_(&labels),
         base_count_(base_count),
-        dta_(&dta),
+        table_(dta),
         param_arity_(param_arity),
         weights_(std::move(weights)) {}
 
   AnswerSet Answer(const Tuple& params) const override;
+  void AnswerAllFlat(const std::vector<Tuple>& params,
+                     FlatAnswerBatch& out) const override;
 
   WeightMap& mutable_weights() { return weights_; }
 
  private:
+  /// W_a for `params`; empty for a wrong-arity or out-of-tree parameter.
+  std::vector<NodeId> Evaluate(const Tuple& params) const;
+
   const BinaryTree* t_;
   const std::vector<uint32_t>* labels_;
   uint32_t base_count_;
-  const Dta* dta_;
+  StepTable table_;
   uint32_t param_arity_;
   WeightMap weights_;
 };
@@ -70,8 +79,9 @@ class HonestTreeServer : public AnswerServer {
 class TreeScheme {
  public:
   /// `dta` track convention: track 0 = parameter (if param_arity == 1), next
-  /// track = result node. The tree, labels and automaton are captured by
-  /// reference and must outlive the scheme.
+  /// track = result node. Every label must be below `base_count`. The tree
+  /// is captured by reference and must outlive the scheme; the labels and
+  /// the automaton are only read during Plan.
   [[nodiscard]] static Result<TreeScheme> Plan(const BinaryTree& t,
                                  const std::vector<uint32_t>& labels,
                                  uint32_t base_count, const Dta& dta,
@@ -156,10 +166,6 @@ class TreeScheme {
   TreeScheme() = default;
 
   const BinaryTree* t_ = nullptr;
-  const std::vector<uint32_t>* labels_ = nullptr;
-  uint32_t base_count_ = 0;
-  const Dta* dta_ = nullptr;
-  uint32_t param_arity_ = 0;
   TreeSchemeOptions options_;
   std::vector<MarkRegion> regions_;
   DecompositionStats stats_;

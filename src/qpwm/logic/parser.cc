@@ -102,14 +102,19 @@ class Parser {
   }
 
   Result<FormulaPtr> ParseIff() {
+    // Nodes are only ever added, so the nodes built since `start` are acc's.
+    const size_t start = nodes_;
     auto lhs = ParseImpl();
     if (!lhs.ok()) return lhs;
     FormulaPtr acc = std::move(lhs).value();
     while (Accept(TokKind::kIff)) {
+      const size_t acc_nodes = nodes_ - start;
       auto rhs = ParseImpl();
       if (!rhs.ok()) return rhs;
       FormulaPtr r = std::move(rhs).value();
-      // a <-> b  ==  (~a | b) & (~b | a)
+      const size_t r_nodes = nodes_ - start - acc_nodes;
+      // a <-> b  ==  (~a | b) & (~b | a): copies of both sides, five new nodes.
+      if (Status s = Charge(acc_nodes + r_nodes + 5); !s.ok()) return s;
       FormulaPtr fwd = MakeOr(MakeNot(acc->Clone()), r->Clone());
       FormulaPtr bwd = MakeOr(MakeNot(std::move(r)), std::move(acc));
       acc = MakeAnd(std::move(fwd), std::move(bwd));
@@ -129,6 +134,14 @@ class Parser {
     size_t& depth_;
   };
 
+  /// Accounts for `count` more nodes; ParseError past kMaxFormulaNodes.
+  Status Charge(size_t count) {
+    nodes_ += count;
+    if (nodes_ <= kMaxFormulaNodes) return Status::OK();
+    return Status::ParseError(StrCat("formula exceeds ", kMaxFormulaNodes,
+                                     " nodes at position ", Peek().pos));
+  }
+
   Status TooDeep() const {
     return Status::ParseError(StrCat("nesting depth exceeds limit ", kMaxFormulaDepth,
                                      " at position ", Peek().pos));
@@ -142,6 +155,7 @@ class Parser {
       if (depth_ > kMaxFormulaDepth) return TooDeep();
       auto rhs = ParseImpl();  // right-associative
       if (!rhs.ok()) return rhs;
+      if (Status s = Charge(2); !s.ok()) return s;
       return MakeOr(MakeNot(std::move(lhs).value()), std::move(rhs).value());
     }
     return lhs;
@@ -154,6 +168,7 @@ class Parser {
     while (Accept(TokKind::kOr)) {
       auto rhs = ParseAnd();
       if (!rhs.ok()) return rhs;
+      if (Status s = Charge(1); !s.ok()) return s;
       acc = MakeOr(std::move(acc), std::move(rhs).value());
     }
     return acc;
@@ -166,6 +181,7 @@ class Parser {
     while (Accept(TokKind::kAnd)) {
       auto rhs = ParseUnary();
       if (!rhs.ok()) return rhs;
+      if (Status s = Charge(1); !s.ok()) return s;
       acc = MakeAnd(std::move(acc), std::move(rhs).value());
     }
     return acc;
@@ -178,6 +194,7 @@ class Parser {
     if (Accept(TokKind::kNot)) {
       auto inner = ParseUnary();
       if (!inner.ok()) return inner;
+      if (Status s = Charge(1); !s.ok()) return s;
       return MakeNot(std::move(inner).value());
     }
     if (Peek().kind == TokKind::kIdent) {
@@ -192,6 +209,7 @@ class Parser {
         std::string var = Take().text;
         auto body = ParseUnary();
         if (!body.ok()) return body;
+        if (Status s = Charge(1); !s.ok()) return s;
         if (word == "exists") return MakeExists(std::move(var), std::move(body).value());
         if (word == "forall") return MakeForall(std::move(var), std::move(body).value());
         if (word == "existsset") {
@@ -216,6 +234,7 @@ class Parser {
       return Status::ParseError(StrCat("expected formula at position ", Peek().pos));
     }
     std::string first = Take().text;
+    if (Status s = Charge(1); !s.ok()) return s;
 
     if (Accept(TokKind::kLParen)) {  // atom R(x, y, ...)
       std::vector<std::string> args;
@@ -254,6 +273,7 @@ class Parser {
   std::vector<Token> toks_;
   size_t idx_ = 0;
   size_t depth_ = 0;
+  size_t nodes_ = 0;  // formula nodes built so far
 };
 
 }  // namespace

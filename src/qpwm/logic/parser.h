@@ -22,6 +22,12 @@ namespace qpwm {
 /// ParseError.
 inline constexpr size_t kMaxFormulaDepth = 1024;
 
+/// Formula nodes ParseFormula builds. Every connective and atom costs one
+/// node, so plain text stays within a small multiple of its length; only
+/// `<->`, which copies both of its sides, can outgrow it: a chain of k
+/// `<->` would build about 2^k nodes. Input that needs more is a ParseError.
+inline constexpr size_t kMaxFormulaNodes = size_t{1} << 18;
+
 /// Parses a formula; returns ParseError with position context on failure.
 [[nodiscard]] Result<FormulaPtr> ParseFormula(std::string_view text);
 

@@ -62,14 +62,7 @@ State Dta::Step(State left, State right, uint32_t sym) const {
 
 std::vector<State> Dta::Run(const BinaryTree& t,
                             const std::vector<uint32_t>& symbols) const {
-  QPWM_CHECK_EQ(symbols.size(), t.size());
-  std::vector<State> state(t.size(), sink());
-  for (NodeId v : t.Postorder()) {
-    State l = t.left(v) == kNoNode ? kAbsentChild : state[t.left(v)];
-    State r = t.right(v) == kNoNode ? kAbsentChild : state[t.right(v)];
-    state[v] = Step(l, r, symbols[v]);
-  }
-  return state;
+  return StepTable(*this).Run(t, symbols);
 }
 
 State Dta::RunRoot(const BinaryTree& t, const std::vector<uint32_t>& symbols) const {
@@ -369,6 +362,69 @@ Dta Dta::Minimize() const {
     out.SetAccepting(map_cls(cls[q]), accepting_[q]);
   }
   return out;
+}
+
+// ---------------------------------------------------------------------------
+// StepTable
+// ---------------------------------------------------------------------------
+
+StepTable::StepTable(const Dta& dta)
+    : num_states_(dta.num_states()),
+      width_(dta.num_states() + 2),
+      class_offset_(dta.alphabet_size()),
+      accepting_(dta.num_states() + 1) {
+  const size_t plane = size_t{width_} * width_;
+  // Each symbol's column as its (cell, target) list, in ForEachTransition's
+  // (left, right) order. Entries with a sink child or the sink as target say
+  // what the sink default says anyway, so they are left out and equal
+  // columns compare equal.
+  std::vector<std::vector<std::pair<size_t, State>>> columns(dta.alphabet_size());
+  dta.ForEachTransition([&](State l, State r, uint32_t sym, State to) {
+    if (l == sink() || r == sink() || to == sink()) return;
+    columns[sym].emplace_back(size_t{l + 1u} * width_ + (r + 1u), to);
+  });
+  // Classes are numbered in order of their first symbol.
+  std::map<std::vector<std::pair<size_t, State>>, uint32_t> class_of;
+  std::vector<const std::vector<std::pair<size_t, State>>*> class_column;
+  for (uint32_t sym = 0; sym < columns.size(); ++sym) {
+    auto [it, inserted] =
+        class_of.emplace(std::move(columns[sym]), static_cast<uint32_t>(class_of.size()));
+    if (inserted) class_column.push_back(&it->first);
+    class_offset_[sym] = it->second * plane;
+  }
+  num_classes_ = static_cast<uint32_t>(class_column.size());
+  cells_.assign(num_classes_ * plane, sink());
+  for (uint32_t c = 0; c < num_classes_; ++c) {
+    for (const auto& [cell, to] : *class_column[c]) cells_[c * plane + cell] = to;
+  }
+  for (State q = 0; q <= num_states_; ++q) accepting_[q] = dta.IsAccepting(q) ? 1 : 0;
+}
+
+std::vector<State> StepTable::Run(const BinaryTree& t,
+                                  const std::vector<uint32_t>& symbols) const {
+  QPWM_CHECK_EQ(symbols.size(), t.size());
+  std::vector<State> state(t.size());
+  for (NodeId v : t.Postorder()) {
+    QPWM_CHECK_LT(symbols[v], alphabet_size());
+    State l = t.left(v) == kNoNode ? kAbsentChild : state[t.left(v)];
+    State r = t.right(v) == kNoNode ? kAbsentChild : state[t.right(v)];
+    state[v] = Step(l, r, symbols[v]);
+  }
+  return state;
+}
+
+std::vector<uint32_t> ParamSymbols(const StepTable& table,
+                                   const std::vector<uint32_t>& labels,
+                                   uint32_t base_count, uint32_t param_arity, NodeId a) {
+  QPWM_CHECK_LE(param_arity, 1u);
+  QPWM_CHECK_EQ(table.alphabet_size(), base_count << (param_arity + 1));
+  std::vector<uint32_t> sym(labels.size());
+  for (NodeId v = 0; v < labels.size(); ++v) {
+    QPWM_CHECK_LT(labels[v], base_count);
+    sym[v] = SymbolAt(labels[v], base_count, param_arity, param_arity == 1 && v == a,
+                      false);
+  }
+  return sym;
 }
 
 // ---------------------------------------------------------------------------

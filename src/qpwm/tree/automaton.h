@@ -4,6 +4,9 @@
 // tracks), determinization and minimization.
 //
 // Representation notes:
+//  * Dta stores its transitions sparsely (a hash map): that is the shape the
+//    compile algebra builds and rewrites. Evaluation runs on a StepTable, a
+//    dense immutable copy built once per automaton owner.
 //  * A Dta has `num_states()` real states plus an implicit *sink* with id
 //    `sink()` == num_states(): every missing transition goes to the sink and
 //    the sink absorbs. The sink has its own accepting flag so complementation
@@ -32,6 +35,20 @@ constexpr State kAbsentChild = UINT32_MAX;
 
 class Nta;
 
+/// Pebbled symbol of a node. With a parameter (param_arity == 1) the
+/// automaton alphabet is Sigma x {0,1}^2 (track 0 = parameter a, track 1 =
+/// result b); without, Sigma x {0,1} (track 0 = b).
+inline uint32_t SymbolAt(uint32_t base_label, uint32_t base_count,
+                         uint32_t param_arity, bool a_here, bool b_here) {
+  uint32_t bits;
+  if (param_arity == 0) {
+    bits = b_here ? 1 : 0;
+  } else {
+    bits = (a_here ? 1 : 0) | (b_here ? 2u : 0);
+  }
+  return base_label + base_count * bits;
+}
+
 /// Deterministic bottom-up tree automaton (complete via the implicit sink).
 class Dta {
  public:
@@ -57,7 +74,8 @@ class Dta {
   State Step(State left, State right, uint32_t sym) const;
 
   /// Bottom-up run; `symbols[v]` is the (pebbled) label of node v. Returns
-  /// the per-node states.
+  /// the per-node states. Builds a StepTable per call — owners that run an
+  /// automaton more than once keep a StepTable instead.
   std::vector<State> Run(const BinaryTree& t, const std::vector<uint32_t>& symbols) const;
 
   /// Root state only.
@@ -124,6 +142,57 @@ class Dta {
   std::unordered_map<uint64_t, State> delta_;
   std::vector<bool> accepting_;  // size num_states_ + 1 (sink last)
 };
+
+/// Dense, immutable transition table of a Dta: every run loop (EvaluateWa,
+/// MemberWa, FindMarkRegions, Dta::Run) steps through one instead of the
+/// Dta's hash map. Symbols with identical transition columns share a class;
+/// cells are laid out [class][left][right] with index 0 = absent child,
+/// 1..k = real states and k+1 = the sink, whose row and column hold the sink.
+/// So Step is two loads, with no hashing and no sink branch.
+///
+/// Size: classes x (k+2)^2 states, built in one pass over the transitions.
+/// Build it once per owner and share it; it is immutable, so concurrent
+/// readers need no locking.
+class StepTable {
+ public:
+  explicit StepTable(const Dta& dta);
+
+  uint32_t num_states() const { return num_states_; }
+  uint32_t alphabet_size() const { return static_cast<uint32_t>(class_offset_.size()); }
+  /// Number of distinct transition columns.
+  uint32_t num_classes() const { return num_classes_; }
+  State sink() const { return num_states_; }
+  bool IsAccepting(State q) const { return accepting_[q] != 0; }
+
+  /// Dta::Step, exactly. left/right: a real state, the sink or kAbsentChild;
+  /// sym < alphabet_size().
+  State Step(State left, State right, uint32_t sym) const {
+    // kAbsentChild + 1 wraps to 0, the absent-child index.
+    return cells_[class_offset_[sym] + size_t{left + 1u} * width_ + (right + 1u)];
+  }
+
+  /// Bottom-up run; `symbols[v]` is the (pebbled) label of node v. Returns
+  /// the per-node states.
+  std::vector<State> Run(const BinaryTree& t, const std::vector<uint32_t>& symbols) const;
+
+ private:
+  uint32_t num_states_;
+  uint32_t width_;  // num_states_ + 2: absent, real states, sink
+  uint32_t num_classes_ = 0;
+  std::vector<size_t> class_offset_;  // per symbol: class * width_^2
+  std::vector<State> cells_;
+  std::vector<uint8_t> accepting_;    // num_states_ + 1 (sink last)
+};
+
+/// Per-node symbols for a run of `table` over a tree labeled `labels`: the
+/// parameter pebble on node `a` (none when param_arity is 0 or `a` is not a
+/// node), no result pebble; the result pebble on node b adds
+/// base_count << param_arity. Checks that the table's alphabet is
+/// base_count x 2^(param_arity + 1) and every label is below base_count, so
+/// every pebbled symbol is in range.
+std::vector<uint32_t> ParamSymbols(const StepTable& table,
+                                   const std::vector<uint32_t>& labels,
+                                   uint32_t base_count, uint32_t param_arity, NodeId a);
 
 /// Nondeterministic bottom-up tree automaton. Produced by projection; the
 /// sink (id num_states()) behaves as in Dta: it is always a member of the

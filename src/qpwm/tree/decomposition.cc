@@ -8,32 +8,15 @@
 #include "qpwm/util/random.h"
 
 namespace qpwm {
-namespace {
-
-// Symbol with optional pebbles; mirrors query.cc's convention.
-uint32_t SymbolAt(uint32_t base_label, uint32_t base_count, uint32_t param_arity,
-                  bool a_here, bool b_here) {
-  uint32_t bits;
-  if (param_arity == 0) {
-    bits = b_here ? 1 : 0;
-  } else {
-    bits = (a_here ? 1 : 0) | (b_here ? 2u : 0);
-  }
-  return base_label + base_count * bits;
-}
-
-}  // namespace
-
 std::vector<MarkRegion> FindMarkRegions(const BinaryTree& t,
                                         const std::vector<uint32_t>& labels,
-                                        uint32_t base_count, const Dta& dta,
+                                        uint32_t base_count, const StepTable& table,
                                         uint32_t param_arity,
                                         const DecompositionOptions& options,
                                         DecompositionStats* stats,
                                         const std::vector<bool>* candidate_filter) {
-  QPWM_CHECK_LE(param_arity, 1u);
   const size_t n = t.size();
-  const size_t m_plus = dta.num_states() + 1;
+  const size_t m_plus = table.num_states() + 1;
   const size_t min_size = options.min_region_size > 0
                               ? options.min_region_size
                               : std::min<size_t>(2 * m_plus, 8);
@@ -43,28 +26,39 @@ std::vector<MarkRegion> FindMarkRegions(const BinaryTree& t,
 
   // --- Global DP: s0 (no pebbles) and, with a parameter, ach(v) = states at
   // v achievable with the a pebble somewhere in subtree(v).
-  std::vector<State> s0(n);
-  std::vector<std::vector<State>> ach(param_arity == 1 ? n : 0);
-  for (NodeId v : t.Postorder()) {
-    State l = t.left(v) == kNoNode ? kAbsentChild : s0[t.left(v)];
-    State r = t.right(v) == kNoNode ? kAbsentChild : s0[t.right(v)];
-    uint32_t sym = SymbolAt(labels[v], base_count, param_arity, false, false);
-    s0[v] = dta.Step(l, r, sym);
-    if (param_arity == 1) {
-      std::vector<State>& out = ach[v];
+  const std::vector<uint32_t> quiet_sym =
+      ParamSymbols(table, labels, base_count, param_arity, kNoNode);
+  const std::vector<State> s0 = table.Run(t, quiet_sym);
+  // ach(v), sorted and deduplicated, is ach_states[ach_range[v].first,
+  // ach_range[v].second): one flat array rather than a heap vector per node.
+  std::vector<State> ach_states;
+  std::vector<std::pair<uint32_t, uint32_t>> ach_range(param_arity == 1 ? n : 0);
+  if (param_arity == 1) {
+    for (NodeId v : t.Postorder()) {
+      State l = t.left(v) == kNoNode ? kAbsentChild : s0[t.left(v)];
+      State r = t.right(v) == kNoNode ? kAbsentChild : s0[t.right(v)];
+      const auto begin = static_cast<uint32_t>(ach_states.size());
       // a at v itself:
       uint32_t sym_a = SymbolAt(labels[v], base_count, param_arity, true, false);
-      out.push_back(dta.Step(l, r, sym_a));
+      ach_states.push_back(table.Step(l, r, sym_a));
       // a in the left subtree:
       if (t.left(v) != kNoNode) {
-        for (State ql : ach[t.left(v)]) out.push_back(dta.Step(ql, r, sym));
+        const auto [first, last] = ach_range[t.left(v)];
+        for (uint32_t i = first; i < last; ++i) {
+          ach_states.push_back(table.Step(ach_states[i], r, quiet_sym[v]));
+        }
       }
       // a in the right subtree:
       if (t.right(v) != kNoNode) {
-        for (State qr : ach[t.right(v)]) out.push_back(dta.Step(l, qr, sym));
+        const auto [first, last] = ach_range[t.right(v)];
+        for (uint32_t i = first; i < last; ++i) {
+          ach_states.push_back(table.Step(l, ach_states[i], quiet_sym[v]));
+        }
       }
-      std::sort(out.begin(), out.end());
-      out.erase(std::unique(out.begin(), out.end()), out.end());
+      std::sort(ach_states.begin() + begin, ach_states.end());
+      ach_states.erase(std::unique(ach_states.begin() + begin, ach_states.end()),
+                       ach_states.end());
+      ach_range[v] = {begin, static_cast<uint32_t>(ach_states.size())};
     }
   }
 
@@ -116,7 +110,9 @@ std::vector<MarkRegion> FindMarkRegions(const BinaryTree& t,
     combos.push_back(quiet);
     if (param_arity == 1) {
       for (size_t h = 0; h < holes.size(); ++h) {
-        for (State q : ach[holes[h]]) {
+        const auto [first, last] = ach_range[holes[h]];
+        for (uint32_t i = first; i < last; ++i) {
+          const State q = ach_states[i];
           if (q == s0[holes[h]]) continue;
           std::vector<State> combo = quiet;
           combo[h] = q;
@@ -154,7 +150,7 @@ std::vector<MarkRegion> FindMarkRegions(const BinaryTree& t,
           };
           uint32_t sym =
               SymbolAt(labels[w], base_count, param_arity, false, w == b);
-          state[i] = dta.Step(child_state(t.left(w)), child_state(t.right(w)), sym);
+          state[i] = table.Step(child_state(t.left(w)), child_state(t.right(w)), sym);
         }
         signature.push_back(state[node_index.at(v)]);
       }
@@ -225,6 +221,17 @@ std::vector<MarkRegion> FindMarkRegions(const BinaryTree& t,
   }
 
   return regions;
+}
+
+std::vector<MarkRegion> FindMarkRegions(const BinaryTree& t,
+                                        const std::vector<uint32_t>& labels,
+                                        uint32_t base_count, const Dta& dta,
+                                        uint32_t param_arity,
+                                        const DecompositionOptions& options,
+                                        DecompositionStats* stats,
+                                        const std::vector<bool>* candidate_filter) {
+  return FindMarkRegions(t, labels, base_count, StepTable(dta), param_arity, options,
+                         stats, candidate_filter);
 }
 
 }  // namespace qpwm

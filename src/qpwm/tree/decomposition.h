@@ -52,11 +52,21 @@ struct DecompositionOptions {
   size_t max_region_size = 0;
 };
 
-/// Runs the decomposition. `dta` is the query automaton (track 0 = parameter
-/// a when param_arity == 1, next track = result b). Regions are returned in
-/// discovery (bottom-up) order. `candidate_filter`, when non-null, restricts
-/// pair candidates to nodes with a true flag (e.g. the active weighted
-/// elements, so every pair is readable through some answer set).
+/// Runs the decomposition. `table` is the query automaton (track 0 =
+/// parameter a when param_arity == 1, next track = result b). Regions are
+/// returned in discovery (bottom-up) order. `candidate_filter`, when
+/// non-null, restricts pair candidates to nodes with a true flag (e.g. the
+/// active weighted elements, so every pair is readable through some answer
+/// set).
+std::vector<MarkRegion> FindMarkRegions(const BinaryTree& t,
+                                        const std::vector<uint32_t>& labels,
+                                        uint32_t base_count, const StepTable& table,
+                                        uint32_t param_arity,
+                                        const DecompositionOptions& options,
+                                        DecompositionStats* stats,
+                                        const std::vector<bool>* candidate_filter =
+                                            nullptr);
+/// Same, building the StepTable of `dta` for this call.
 std::vector<MarkRegion> FindMarkRegions(const BinaryTree& t,
                                         const std::vector<uint32_t>& labels,
                                         uint32_t base_count, const Dta& dta,

@@ -5,98 +5,83 @@
 #include "qpwm/util/check.h"
 
 namespace qpwm {
-namespace {
 
-// Symbol of node v given which pebbles sit on it. With a parameter the
-// automaton alphabet is Sigma x {0,1}^2 (track 0 = a, track 1 = b);
-// without, Sigma x {0,1} (track 0 = b).
-uint32_t SymbolAt(uint32_t base_label, uint32_t base_count, uint32_t param_arity,
-                  bool a_here, bool b_here) {
-  uint32_t bits;
-  if (param_arity == 0) {
-    bits = b_here ? 1 : 0;
-  } else {
-    bits = (a_here ? 1 : 0) | (b_here ? 2u : 0);
-  }
-  return base_label + base_count * bits;
+bool MemberWa(const BinaryTree& t, const std::vector<uint32_t>& base_labels,
+              uint32_t base_count, const StepTable& table, uint32_t param_arity,
+              NodeId a, NodeId b) {
+  std::vector<uint32_t> sym =
+      ParamSymbols(table, base_labels, base_count, param_arity, a);
+  if (b < t.size()) sym[b] += base_count << param_arity;
+  return table.IsAccepting(table.Run(t, sym)[t.root()]);
 }
-
-}  // namespace
 
 bool MemberWa(const BinaryTree& t, const std::vector<uint32_t>& base_labels,
               uint32_t base_count, const Dta& dta, uint32_t param_arity, NodeId a,
               NodeId b) {
-  QPWM_CHECK_LE(param_arity, 1u);
-  std::vector<State> state(t.size());
-  for (NodeId v : t.Postorder()) {
-    State l = t.left(v) == kNoNode ? kAbsentChild : state[t.left(v)];
-    State r = t.right(v) == kNoNode ? kAbsentChild : state[t.right(v)];
-    uint32_t sym = SymbolAt(base_labels[v], base_count, param_arity,
-                            param_arity == 1 && v == a, v == b);
-    state[v] = dta.Step(l, r, sym);
+  return MemberWa(t, base_labels, base_count, StepTable(dta), param_arity, a, b);
+}
+
+std::vector<NodeId> EvaluateWa(const BinaryTree& t,
+                               const std::vector<uint32_t>& base_labels,
+                               uint32_t base_count, const StepTable& table,
+                               uint32_t param_arity, NodeId a) {
+  const size_t n = t.size();
+  const uint32_t m = table.num_states() + 1;  // sink included
+  const std::vector<uint32_t> sym =
+      ParamSymbols(table, base_labels, base_count, param_arity, a);
+  const uint32_t b_pebble = base_count << param_arity;
+
+  // Pass 1: states with only the parameter pebble placed (no b).
+  const std::vector<State> sa = table.Run(t, sym);
+
+  // Pass 2 (top-down): ctx[v][q] = would the root accept if the state at v
+  // were forced to q (everything else as in pass 1)? Parents come before
+  // children (reverse postorder), so ctx[v] is complete when v is visited,
+  // and then b = v is in W_a iff ctx[v][state of v with the b pebble set].
+  std::vector<uint8_t> ctx(n * m);
+  auto ctx_at = [&](NodeId v, State q) -> uint8_t& { return ctx[v * m + q]; };
+  std::vector<uint8_t> member(n);
+
+  for (State q = 0; q < m; ++q) {
+    ctx_at(t.root(), q) = table.IsAccepting(q) ? 1 : 0;
   }
-  return dta.IsAccepting(state[t.root()]);
+  const auto& post = t.Postorder();
+  for (auto it = post.rbegin(); it != post.rend(); ++it) {
+    NodeId v = *it;
+    NodeId lc = t.left(v);
+    NodeId rc = t.right(v);
+    State ls = lc == kNoNode ? kAbsentChild : sa[lc];
+    State rs = rc == kNoNode ? kAbsentChild : sa[rc];
+    member[v] = ctx_at(v, table.Step(ls, rs, sym[v] + b_pebble));
+    if (lc != kNoNode) {
+      for (State q = 0; q < m; ++q) {
+        ctx_at(lc, q) = ctx_at(v, table.Step(q, rs, sym[v]));
+      }
+    }
+    if (rc != kNoNode) {
+      for (State q = 0; q < m; ++q) {
+        ctx_at(rc, q) = ctx_at(v, table.Step(ls, q, sym[v]));
+      }
+    }
+  }
+
+  // Branch-free compaction, as membership is close to a coin flip per node;
+  // the spare last slot takes the writes after the last member.
+  std::vector<NodeId> out(std::count(member.begin(), member.end(), uint8_t{1}) + 1);
+  size_t count = 0;
+  for (NodeId b = 0; b < n; ++b) {
+    out[count] = b;
+    count += member[b];
+  }
+  out.pop_back();
+  return out;
 }
 
 std::vector<NodeId> EvaluateWa(const BinaryTree& t,
                                const std::vector<uint32_t>& base_labels,
                                uint32_t base_count, const Dta& dta,
                                uint32_t param_arity, NodeId a) {
-  QPWM_CHECK_LE(param_arity, 1u);
-  const size_t n = t.size();
-  const uint32_t m = dta.num_states() + 1;  // sink included
-
-  // Pass 1: states with only the parameter pebble placed (no b).
-  std::vector<State> sa(n);
-  for (NodeId v : t.Postorder()) {
-    State l = t.left(v) == kNoNode ? kAbsentChild : sa[t.left(v)];
-    State r = t.right(v) == kNoNode ? kAbsentChild : sa[t.right(v)];
-    uint32_t sym = SymbolAt(base_labels[v], base_count, param_arity,
-                            param_arity == 1 && v == a, false);
-    sa[v] = dta.Step(l, r, sym);
-  }
-
-  // Pass 2 (top-down): ctx[v][q] = would the root accept if the state at v
-  // were forced to q (everything else as in pass 1)?
-  std::vector<uint8_t> ctx(n * m);
-  auto ctx_at = [&](NodeId v, State q) -> uint8_t& { return ctx[v * m + q]; };
-
-  for (State q = 0; q < m; ++q) {
-    ctx_at(t.root(), q) = dta.IsAccepting(q) ? 1 : 0;
-  }
-  // Parents before children: reverse postorder.
-  const auto& post = t.Postorder();
-  for (auto it = post.rbegin(); it != post.rend(); ++it) {
-    NodeId v = *it;
-    NodeId lc = t.left(v);
-    NodeId rc = t.right(v);
-    uint32_t sym = SymbolAt(base_labels[v], base_count, param_arity,
-                            param_arity == 1 && v == a, false);
-    if (lc != kNoNode) {
-      State rs = rc == kNoNode ? kAbsentChild : sa[rc];
-      for (State q = 0; q < m; ++q) {
-        ctx_at(lc, q) = ctx_at(v, dta.Step(q, rs, sym));
-      }
-    }
-    if (rc != kNoNode) {
-      State ls = lc == kNoNode ? kAbsentChild : sa[lc];
-      for (State q = 0; q < m; ++q) {
-        ctx_at(rc, q) = ctx_at(v, dta.Step(ls, q, sym));
-      }
-    }
-  }
-
-  // b in W_a  iff  ctx[b][state of b recomputed with the b pebble set].
-  std::vector<NodeId> out;
-  for (NodeId b = 0; b < n; ++b) {
-    State l = t.left(b) == kNoNode ? kAbsentChild : sa[t.left(b)];
-    State r = t.right(b) == kNoNode ? kAbsentChild : sa[t.right(b)];
-    uint32_t sym = SymbolAt(base_labels[b], base_count, param_arity,
-                            param_arity == 1 && b == a, true);
-    State with_pebble = dta.Step(l, r, sym);
-    if (ctx_at(b, with_pebble)) out.push_back(b);
-  }
-  return out;
+  return EvaluateWa(t, base_labels, base_count, StepTable(dta), param_arity, a);
 }
 
 Dta ProjectParamTrack(const Dta& dta, uint32_t base_count) {
@@ -141,12 +126,13 @@ std::unique_ptr<ParametricQuery> MakeTreeQuery(const BinaryTree& t,
                                                uint32_t base_count, const Dta& dta,
                                                uint32_t param_arity) {
   QPWM_CHECK_LE(param_arity, 1u);
-  auto fn = [&t, &base_labels, base_count, &dta, param_arity](
+  auto table = std::make_shared<const StepTable>(dta);
+  auto fn = [&t, &base_labels, base_count, table, param_arity](
                 const Structure&, const Tuple& params) {
     NodeId a = param_arity == 1 ? params[0] : 0;
     // qpwm-lint: allow(legacy-tuple-vector) — building the returned answer set (API contract)
     std::vector<Tuple> out;
-    for (NodeId b : EvaluateWa(t, base_labels, base_count, dta, param_arity, a)) {
+    for (NodeId b : EvaluateWa(t, base_labels, base_count, *table, param_arity, a)) {
       out.push_back(Tuple{b});
     }
     return out;

@@ -1,11 +1,15 @@
 // Automaton-defined parametric queries on weighted trees (Section 4):
 // W_a = B(a, T) = { b : B accepts T_ab }.
 //
-// EvaluateWa computes one whole answer set in O(n * m) with a two-pass
-// context DP (bottom-up states with the parameter pebble placed, then a
-// top-down acceptance-context table), instead of the naive O(n^2) reruns.
-// Pebble track convention: track 0 = parameter a (if any), track 1 (or 0
-// when there is no parameter) = result b.
+// EvaluateWa computes one whole answer set with a two-pass context DP
+// (bottom-up states with the parameter pebble placed, then a top-down
+// acceptance-context table), instead of the naive O(n^2) reruns: about
+// (m + 2) * n automaton steps for m states (sink included), each two array
+// loads on a StepTable. Build the table once per automaton and pass it to
+// every call; the Dta overloads build one per call.
+// Pebble track convention (SymbolAt): track 0 = parameter a (if any),
+// track 1 (or 0 when there is no parameter) = result b. A parameter outside
+// the tree places no pebble.
 #ifndef QPWM_TREE_QUERY_H_
 #define QPWM_TREE_QUERY_H_
 
@@ -21,11 +25,19 @@ namespace qpwm {
 
 /// Membership test b in W_a: one run over T_ab. `param_arity` is 0 or 1;
 /// with 0, `a` is ignored and the automaton has a single (result) track.
+/// The table's alphabet must be base_count x 2^(param_arity + 1).
+bool MemberWa(const BinaryTree& t, const std::vector<uint32_t>& base_labels,
+              uint32_t base_count, const StepTable& table, uint32_t param_arity,
+              NodeId a, NodeId b);
 bool MemberWa(const BinaryTree& t, const std::vector<uint32_t>& base_labels,
               uint32_t base_count, const Dta& dta, uint32_t param_arity, NodeId a,
               NodeId b);
 
 /// Full answer set W_a (sorted node ids), via the context DP.
+std::vector<NodeId> EvaluateWa(const BinaryTree& t,
+                               const std::vector<uint32_t>& base_labels,
+                               uint32_t base_count, const StepTable& table,
+                               uint32_t param_arity, NodeId a);
 std::vector<NodeId> EvaluateWa(const BinaryTree& t,
                                const std::vector<uint32_t>& base_labels,
                                uint32_t base_count, const Dta& dta,
@@ -48,8 +60,8 @@ Dta SwapPebbleTracks(const Dta& dta, uint32_t base_count);
 Structure TreeSkeletonStructure(const BinaryTree& t);
 
 /// Wraps an automaton query as a ParametricQuery over the skeleton
-/// structure. The returned query captures `t`, `base_labels` and `dta` by
-/// reference — keep them alive.
+/// structure. The returned query owns a StepTable of `dta` and captures `t`
+/// and `base_labels` by reference — keep those alive.
 std::unique_ptr<ParametricQuery> MakeTreeQuery(const BinaryTree& t,
                                                const std::vector<uint32_t>& base_labels,
                                                uint32_t base_count, const Dta& dta,

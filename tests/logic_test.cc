@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <string>
+#include <vector>
 
 #include "qpwm/logic/evaluator.h"
 #include "qpwm/logic/locality.h"
@@ -112,6 +114,66 @@ TEST(ParserTest, NestingUpToTheLimitParses) {
   EXPECT_TRUE(parens.ok()) << parens.status().message();
   auto over = ParseFormula(std::string(kMaxFormulaDepth + 1, '~') + "x = y");
   EXPECT_FALSE(over.ok());
+}
+
+size_t CountNodes(const Formula& root) {
+  size_t count = 0;
+  std::vector<const Formula*> stack{&root};
+  while (!stack.empty()) {
+    const Formula* f = stack.back();
+    stack.pop_back();
+    ++count;
+    if (f->left) stack.push_back(f->left.get());
+    if (f->right) stack.push_back(f->right.get());
+  }
+  return count;
+}
+
+std::string IffChain(size_t links, const std::string& var) {
+  std::string text = "E(" + var + "0, y)";
+  for (size_t i = 1; i <= links; ++i) {
+    text += " <-> E(" + var + std::to_string(i) + ", y)";
+  }
+  return text;
+}
+
+TEST(ParserTest, IffChainOverTheNodeBudgetFailsFast) {
+  // 40 chained <-> would desugar to about 2^43 nodes.
+  const auto start = std::chrono::steady_clock::now();
+  auto f = ParseFormula(IffChain(40, "x"));
+  const std::chrono::duration<double> took = std::chrono::steady_clock::now() - start;
+  ASSERT_FALSE(f.ok());
+  EXPECT_EQ(f.status().code(), StatusCode::kParseError);
+  EXPECT_NE(f.status().message().find("nodes"), std::string::npos);
+  EXPECT_LT(took.count(), 10.0);
+
+  // The budget is for the whole formula: chains that fit one by one do not
+  // fit side by side.
+  auto one = ParseFormula(IffChain(12, "x"));
+  ASSERT_TRUE(one.ok()) << one.status().message();
+  ASSERT_LE(CountNodes(*one.value()), kMaxFormulaNodes);
+  std::string many = "(" + IffChain(12, "x") + ")";
+  for (size_t copies = 1; copies * CountNodes(*one.value()) <= kMaxFormulaNodes; ++copies) {
+    many += " & (" + IffChain(12, "x") + ")";
+  }
+  auto all = ParseFormula(many);
+  ASSERT_FALSE(all.ok());
+  EXPECT_EQ(all.status().code(), StatusCode::kParseError);
+}
+
+TEST(ParserTest, IffChainWithinTheBudgetParsesAsBefore) {
+  // a <-> b desugars to (~a | b) & (~b | a), left to right along the chain.
+  FormulaPtr want = MakeAtom("E", {"x0", "y"});
+  for (size_t i = 1; i <= 8; ++i) {
+    FormulaPtr r = MakeAtom("E", {"x" + std::to_string(i), "y"});
+    FormulaPtr fwd = MakeOr(MakeNot(want->Clone()), r->Clone());
+    FormulaPtr bwd = MakeOr(MakeNot(std::move(r)), std::move(want));
+    want = MakeAnd(std::move(fwd), std::move(bwd));
+  }
+  auto f = ParseFormula(IffChain(8, "x"));
+  ASSERT_TRUE(f.ok()) << f.status().message();
+  EXPECT_EQ(f.value()->ToString(), want->ToString());
+  EXPECT_EQ(CountNodes(*f.value()), 2041u);
 }
 
 TEST(ParserTest, RoundTripThroughToString) {

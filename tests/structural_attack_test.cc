@@ -174,7 +174,7 @@ TEST(StructuralAttackTest, FlatTamperedRowsMatchBatchOverNonBatchServers) {
   tampered_pairs.InsertEverywhere({Tuple{102}, 6});
   ExpectFlatMatchesBatch(tampered_pairs, params);
 
-  // A tree server answers one parameter at a time.
+  // A tree server, whose flat batches come from the automaton run.
   Alphabet sigma;
   sigma.Intern("a");
   sigma.Intern("b");

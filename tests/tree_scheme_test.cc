@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "qpwm/core/attack.h"
 #include "qpwm/core/tree_scheme.h"
 #include "qpwm/logic/parser.h"
 #include "qpwm/tree/mso.h"
@@ -164,6 +167,21 @@ TEST_F(TreeSchemeTest, WrongTrackCountRejected) {
   EXPECT_FALSE(TreeScheme::Plan(t, t.labels(), 3, query_, 0, Options()).ok());
 }
 
+TEST_F(TreeSchemeTest, LabelsOutsideTheAlphabetRejected) {
+  Rng rng(61);
+  BinaryTree t = RandomBinaryTree(50, 3, rng);
+  std::vector<uint32_t> labels = t.labels();
+  labels[7] = 3;  // base_count is 3
+  auto bad_label = TreeScheme::Plan(t, labels, 3, query_, 1, Options());
+  ASSERT_FALSE(bad_label.ok());
+  EXPECT_EQ(bad_label.status().code(), StatusCode::kInvalidArgument);
+  labels.pop_back();
+  labels[7] = 0;
+  auto short_labels = TreeScheme::Plan(t, labels, 3, query_, 1, Options());
+  ASSERT_FALSE(short_labels.ok());
+  EXPECT_EQ(short_labels.status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST_F(TreeSchemeTest, DetectorSeesTamperedStructure) {
   Rng rng(55);
   BinaryTree t = RandomBinaryTree(300, 3, rng);
@@ -190,6 +208,208 @@ TEST_F(TreeSchemeTest, ChainTreesWork) {
   WeightMap marked = scheme.Embed(w, mark);
   HonestTreeServer server(t, t.labels(), 3, query_, 1, marked);
   EXPECT_EQ(scheme.Detect(w, server).ValueOrDie(), mark);
+}
+
+// --- Flat serving and hostile parameters ----------------------------------
+
+/// Requires server.AnswerAllFlat to return exactly server.Answer's rows,
+/// parameter by parameter and row by row, into a batch that held stale rows.
+void ExpectFlatMatchesAnswer(const BatchAnswerServer& server,
+                             const std::vector<Tuple>& params) {
+  FlatAnswerBatch flat;
+  flat.AppendRow(Tuple{7, 7}, 99);
+  flat.FinishParam();
+  server.AnswerAllFlat(params, flat);
+  ASSERT_EQ(flat.num_params(), params.size());
+  ASSERT_EQ(flat.elem_offsets.size(), flat.num_rows() + 1);
+  ASSERT_EQ(flat.elem_offsets.back(), flat.elems.size());
+  for (size_t p = 0; p < params.size(); ++p) {
+    const AnswerSet want = server.Answer(params[p]);
+    const size_t first = flat.param_offsets[p];
+    ASSERT_EQ(flat.param_offsets[p + 1] - first, want.size()) << "param " << p;
+    for (size_t k = 0; k < want.size(); ++k) {
+      const size_t r = first + k;
+      const Tuple got(flat.elems.begin() + flat.elem_offsets[r],
+                      flat.elems.begin() + flat.elem_offsets[r + 1]);
+      EXPECT_EQ(got, want[k].element) << "param " << p << " row " << k;
+      EXPECT_EQ(flat.weights[r], want[k].weight) << "param " << p << " row " << k;
+    }
+  }
+}
+
+TEST_F(TreeSchemeTest, FlatServingMatchesAnswer) {
+  Rng rng(57);
+  BinaryTree t = RandomBinaryTree(300, 3, rng);
+  HonestTreeServer server(t, t.labels(), 3, query_, 1, RandomTreeWeights(t, rng));
+  std::vector<Tuple> params{Tuple{t.root()}, Tuple{}, Tuple{1, 2},
+                            Tuple{static_cast<NodeId>(t.size())}};
+  for (NodeId v = 0; v < t.size(); v += 3) params.push_back(Tuple{v});
+  ExpectFlatMatchesAnswer(server, params);
+  size_t rows = 0;
+  for (const Tuple& p : params) rows += server.Answer(p).size();
+  EXPECT_GT(rows, 0u);
+
+  // Behind a tampering server, whose flat path starts from this one's.
+  TamperedAnswerServer tampered(server);
+  ExpectFlatMatchesAnswer(tampered, params);
+  for (NodeId v = 0; v < t.size(); v += 4) tampered.Erase(Tuple{v});
+  ExpectFlatMatchesAnswer(tampered, params);
+  tampered.InsertAt(params[4], {Tuple{9000}, 7});
+  tampered.InsertEverywhere({Tuple{9001}, 8});
+  ExpectFlatMatchesAnswer(tampered, params);
+
+  // A parameter-free query is served the same way.
+  Dta leaves = CompileMso(*MustParseFormula("P_c(v) & LEAF(v)"), sigma_, {"v"})
+                   .ValueOrDie()
+                   .dta;
+  HonestTreeServer unary(t, t.labels(), 3, leaves, 0, RandomTreeWeights(t, rng));
+  ExpectFlatMatchesAnswer(unary, {Tuple{}, Tuple{3}, Tuple{}});
+  EXPECT_GT(unary.Answer(Tuple{}).size(), 0u);
+}
+
+TEST_F(TreeSchemeTest, WrongArityParamGetsEmptyAnswer) {
+  Rng rng(58);
+  BinaryTree t = RandomBinaryTree(50, 3, rng);
+  HonestTreeServer server(t, t.labels(), 3, query_, 1, RandomTreeWeights(t, rng));
+  ASSERT_GT(server.Answer(Tuple{t.root()}).size(), 0u);
+  for (const Tuple& bad : {Tuple{}, Tuple{t.root(), t.root()}}) {
+    EXPECT_TRUE(server.Answer(bad).empty());
+    FlatAnswerBatch flat;
+    server.AnswerAllFlat({bad, Tuple{t.root()}, bad}, flat);
+    ASSERT_EQ(flat.num_params(), 3u);
+    EXPECT_EQ(flat.param_offsets[1], 0u);
+    EXPECT_EQ(flat.param_offsets[2] - flat.param_offsets[1],
+              server.Answer(Tuple{t.root()}).size());
+    EXPECT_EQ(flat.param_offsets[3], flat.param_offsets[2]);
+  }
+}
+
+TEST_F(TreeSchemeTest, OutOfTreeParamGetsEmptyAnswer) {
+  // P_b(v) over (u, v) answers every b-labeled node for any parameter in
+  // the tree; a node outside it places no pebble and must not be answered.
+  Dta any_b = CompileMso(*MustParseFormula("P_b(v)"), sigma_, {"u", "v"})
+                  .ValueOrDie()
+                  .dta;
+  Rng rng(59);
+  BinaryTree t = RandomBinaryTree(50, 3, rng);
+  HonestTreeServer server(t, t.labels(), 3, any_b, 1, RandomTreeWeights(t, rng));
+  ASSERT_GT(server.Answer(Tuple{0}).size(), 0u);
+  for (NodeId outside : {NodeId{50}, NodeId{1000}, kNoNode}) {
+    EXPECT_TRUE(server.Answer(Tuple{outside}).empty()) << outside;
+    FlatAnswerBatch flat;
+    server.AnswerAllFlat({Tuple{outside}}, flat);
+    EXPECT_EQ(flat.num_params(), 1u);
+    EXPECT_EQ(flat.num_rows(), 0u) << outside;
+  }
+}
+
+// --- Pinned plans -------------------------------------------------------------
+
+/// Answers like `base` and records every parameter it is asked for.
+class RecordingServer : public AnswerServer {
+ public:
+  explicit RecordingServer(const AnswerServer& base) : base_(&base) {}
+  AnswerSet Answer(const Tuple& params) const override {
+    asked.push_back(params);
+    return base_->Answer(params);
+  }
+  // qpwm-lint: allow(legacy-tuple-vector) — recorded witness parameters
+  mutable std::vector<Tuple> asked;
+
+ private:
+  const AnswerServer* base_;
+};
+
+/// FNV-1a digest of everything a plan decides: its regions (root, holes,
+/// nodes, pair), the decomposition stats, and per hidden bit the pair it
+/// moves and the witness parameter the detector reads it through. Also
+/// counts the distinct witnesses.
+struct PlanRecord {
+  uint64_t digest = 0;
+  size_t distinct_witnesses = 0;
+};
+
+PlanRecord RecordPlan(const TreeScheme& scheme, const BinaryTree& t, const Dta& dta,
+                      uint32_t param_arity) {
+  uint64_t h = 1469598103934665603ull;
+  auto mix = [&h](uint64_t x) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (x >> (8 * i)) & 0xff;
+      h *= 1099511628211ull;
+    }
+  };
+  mix(scheme.regions().size());
+  for (const MarkRegion& r : scheme.regions()) {
+    mix(r.root);
+    mix(r.holes.size());
+    for (NodeId v : r.holes) mix(v);
+    mix(r.nodes.size());
+    for (NodeId v : r.nodes) mix(v);
+    mix(r.b_plus);
+    mix(r.b_minus);
+  }
+  const DecompositionStats& st = scheme.stats();
+  for (size_t x : {st.attempts, st.paired, st.unpaired, st.covered_nodes}) mix(x);
+
+  // Pair i: the nodes a one-bit mark moves up and down.
+  const WeightMap zero(1, t.size());
+  mix(scheme.CapacityBits());
+  for (size_t i = 0; i < scheme.CapacityBits(); ++i) {
+    BitVec mark(scheme.CapacityBits());
+    mark.Set(i, true);
+    const WeightMap marked = scheme.Embed(zero, mark);
+    for (NodeId v = 0; v < t.size(); ++v) {
+      if (marked.GetElem(v) != 0) {
+        mix(v);
+        mix(static_cast<uint64_t>(marked.GetElem(v)));
+      }
+    }
+  }
+  // Witnesses, in pair order: unbatched reads ask one parameter per pair.
+  HonestTreeServer honest(t, t.labels(), 3, dta, param_arity, zero);
+  RecordingServer recorder(honest);
+  DetectOptions unbatched;
+  unbatched.batch_answers = false;
+  (void)scheme.ObservePairs(zero, recorder, unbatched);
+  EXPECT_EQ(recorder.asked.size(), scheme.CapacityBits());
+  for (const Tuple& w : recorder.asked) {
+    mix(w.size());
+    for (ElemId e : w) mix(e);
+  }
+  std::sort(recorder.asked.begin(), recorder.asked.end());
+  const auto distinct = std::unique(recorder.asked.begin(), recorder.asked.end());
+  return {h, static_cast<size_t>(distinct - recorder.asked.begin())};
+}
+
+// The digests were recorded from the hashed-step planner; the step-table
+// planner must reproduce them bit for bit.
+TEST_F(TreeSchemeTest, PlansPinnedAtSeed) {
+  Rng rng(60);
+  BinaryTree t = RandomBinaryTree(3000, 3, rng);
+  auto scheme = TreeScheme::Plan(t, t.labels(), 3, query_, 1, Options()).ValueOrDie();
+  ASSERT_GT(scheme.CapacityBits(), 100u);
+  EXPECT_EQ(RecordPlan(scheme, t, query_, 1).digest, 10167811105156910903ull);
+
+  // b in the left subtree of a: with the root as the only pooled witness,
+  // the right subtree's pairs need the exact reverse run.
+  Dta left_b = CompileMso(*MustParseFormula("exists w (S1(u, w) & LEQ(w, v)) & P_b(v)"),
+                          sigma_, {"u", "v"})
+                   .ValueOrDie()
+                   .dta;
+  TreeSchemeOptions root_only = Options();
+  root_only.witness_attempts = 1;
+  auto reverse = TreeScheme::Plan(t, t.labels(), 3, left_b, 1, root_only).ValueOrDie();
+  ASSERT_GT(reverse.CapacityBits(), 100u);
+  const PlanRecord reverse_record = RecordPlan(reverse, t, left_b, 1);
+  EXPECT_GT(reverse_record.distinct_witnesses, 1u);
+  EXPECT_EQ(reverse_record.digest, 7742318476967105840ull);
+
+  Dta inner_b = CompileMso(*MustParseFormula("P_b(v) & ~LEAF(v)"), sigma_, {"v"})
+                    .ValueOrDie()
+                    .dta;
+  auto unary = TreeScheme::Plan(t, t.labels(), 3, inner_b, 0, Options()).ValueOrDie();
+  ASSERT_GT(unary.CapacityBits(), 100u);
+  EXPECT_EQ(RecordPlan(unary, t, inner_b, 0).digest, 816875832107636256ull);
 }
 
 }  // namespace
