@@ -1,29 +1,23 @@
-// bench_detect — the detection-side perf baseline: batched answer serving,
-// dense weight views, and the parallel multi-suspect fan-out.
+// bench_detect — the detection-side perf baseline: the parallel
+// multi-suspect fan-out against a serial detection loop.
 //
 // Detection is the serving hot path once a scheme is deployed: the detector
 // replans once, then reads pair weights through query answers for every
 // suspect copy (Remark 2's fingerprint tracing runs this against up to 2^l
-// marked copies). The pre-optimization path paid one Answer() round trip per
-// pair element — an AnswerSet allocation plus a linear scan — and a hash
-// lookup per weight read. The optimized path answers each distinct witness
-// parameter once per run (AnswerAll), indexes the rows, and snapshots both
-// the owner's and the server's weights into DenseWeightViews.
+// marked copies). Each detection answers every distinct witness parameter
+// once (one AnswerAllFlat round trip) and reads the pairs from those rows.
 //
 // Instance: bounded-degree graph with a DistanceQuery ball (answer sets of
-// a few dozen rows — the regime where re-answering per pair hurts most).
+// a few dozen rows, shared by many pair reads).
 //
-// Reported speedups are against the *pre-optimization detector* — serial,
-// unbatched, sparse weight lookups. Detection output (marks, margins,
-// erasure counts) is verified bit-identical across every ablation and
-// thread count; the run fails if it is not.
+// DetectMany is held against the serial loop of single-suspect detections —
+// the honest bar for the thread pool, reported as
+// parallel_faster_than_serial. Detection output (marks, margins, erasure
+// counts) is verified bit-identical across thread counts; the run fails if
+// it is not.
 //
 // --json[=PATH] writes/merges the "detect_scale" section of
 // BENCH_detect.json so future PRs have a trajectory to beat.
-//
-// The fan-out is additionally held against the *serial optimized* detector
-// (a plain loop of single-suspect detections with every fast path on): the
-// honest bar for the thread pool, reported as parallel_faster_than_serial.
 //
 // --sweep[=N1,N2,...] scales the fan-out to 10^6-element instances (qrho=2,
 // a few suspects) with flat-storage bytes per tuple and process peak RSS per
@@ -38,7 +32,6 @@
 #include <optional>
 #include <string>
 #include <thread>
-#include <unordered_set>
 #include <vector>
 
 #include "bench_json.h"
@@ -75,13 +68,6 @@ bool SameDetection(const AdversarialDetection& a, const AdversarialDetection& b)
   }
   return true;
 }
-
-struct AblationResult {
-  bool dense = false;
-  bool batch = false;
-  double ms = 0;
-  bool identical = true;
-};
 
 struct FanoutResult {
   size_t threads = 0;
@@ -161,7 +147,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::cout << "=== bench_detect: batched, dense, parallel detection (n=" << n
+  std::cout << "=== bench_detect: parallel multi-suspect detection (n=" << n
             << ", k=" << k << ", query=dist<=" << qrho
             << ", suspects=" << num_suspects << ") ===\n";
 
@@ -184,136 +170,51 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // Witness sharing decides the batching win: every detection run performs
-  // 2 * pairs element reads, each through the first parameter containing the
-  // element, and the batched path answers each distinct witness once.
-  size_t witness_reads = 0;
-  std::unordered_set<uint32_t> distinct_witnesses;
-  for (const WeightPair& p : scheme.marking().pairs()) {
-    for (uint32_t w : {p.plus, p.minus}) {
-      const auto& witnesses = index.ParamsContaining(w);
-      if (witnesses.empty()) continue;
-      ++witness_reads;
-      distinct_witnesses.insert(witnesses[0]);
-    }
-  }
+  // Witness sharing: every detection run performs 2 * pairs element reads,
+  // each through the first parameter containing the element, and answers
+  // each distinct witness once.
+  const WitnessPlan& plan = scheme.witness_plan();
   const double sharing =
-      distinct_witnesses.empty()
-          ? 0.0
-          : static_cast<double>(witness_reads) /
-                static_cast<double>(distinct_witnesses.size());
+      plan.params.empty() ? 0.0
+                          : static_cast<double>(plan.reads.size()) /
+                                static_cast<double>(plan.params.size());
   std::cout << "planned " << scheme.CapacityBits() << " pairs ("
-            << adv.CapacityBits() << " message bits): " << witness_reads
-            << " element reads via " << distinct_witnesses.size()
+            << adv.CapacityBits() << " message bits): " << plan.reads.size()
+            << " element reads via " << plan.params.size()
             << " distinct witness params (sharing " << FmtDouble(sharing, 1)
             << "x)\n";
 
   // One marked copy per suspect, each carrying a distinct message — the
-  // fingerprinting scenario. Two servers per copy: the pre-optimization
-  // sparse one and the dense-view one.
+  // fingerprinting scenario.
   std::vector<BitVec> messages;
-  std::vector<std::unique_ptr<HonestServer>> sparse_servers;
-  std::vector<std::unique_ptr<HonestServer>> dense_servers;
+  std::vector<std::unique_ptr<HonestServer>> servers;
+  std::vector<const AnswerServer*> suspects;
   for (size_t s = 0; s < num_suspects; ++s) {
     BitVec msg(adv.CapacityBits());
     Rng msg_rng(1000 + s);
     for (size_t i = 0; i < msg.size(); ++i) msg.Set(i, msg_rng.Coin());
-    WeightMap marked = adv.Embed(weights, msg);
-    sparse_servers.push_back(
-        std::make_unique<HonestServer>(index, marked, /*use_dense_view=*/false));
-    dense_servers.push_back(
-        std::make_unique<HonestServer>(index, std::move(marked)));
+    servers.push_back(std::make_unique<HonestServer>(index, adv.Embed(weights, msg)));
+    suspects.push_back(servers.back().get());
     messages.push_back(std::move(msg));
   }
 
-  const DetectOptions kBaselineOpts{/*batch_answers=*/false, /*dense_views=*/false};
-
-  // --- Single-suspect ablations (1 thread) ---------------------------------
-  const AdversarialDetection reference =
-      adv.Detect(weights, *sparse_servers[0], kBaselineOpts).ValueOrDie();
-  for (size_t i = 0; i < reference.mark.size(); ++i) {
-    if (reference.mark.Get(i) != messages[0].Get(i)) {
-      std::cerr << "FAIL: clean detection recovered a wrong bit\n";
-      return 1;
-    }
-  }
-
-  std::vector<AblationResult> ablations;
-  for (const auto& [dense, batch] :
-       std::vector<std::pair<bool, bool>>{{false, false}, {true, false},
-                                          {false, true}, {true, true}}) {
-    DetectOptions d;
-    d.batch_answers = batch;
-    d.dense_views = dense;
-    const AnswerServer& server =
-        dense ? *dense_servers[0] : *sparse_servers[0];
-    AblationResult r;
-    r.dense = dense;
-    r.batch = batch;
-    std::optional<AdversarialDetection> out;
-    for (int rep = 0; rep < reps; ++rep) {
-      const double ms =
-          TimeMs([&] { out = adv.Detect(weights, server, d).ValueOrDie(); });
-      r.ms = rep == 0 ? ms : std::min(r.ms, ms);
-    }
-    r.identical = SameDetection(reference, *out);
-    ablations.push_back(r);
-  }
-  const double single_baseline_ms = ablations.front().ms;
-  const double dense_batch_speedup = single_baseline_ms / ablations.back().ms;
-
-  TextTable single(StrCat("Single-suspect detection, ", scheme.CapacityBits(),
-                          " pairs -> ", adv.CapacityBits(),
-                          " bits (baseline: unbatched sparse ",
-                          FmtDouble(single_baseline_ms, 2), " ms)"));
-  single.SetHeader({"dense", "batch", "ms", "speedup", "identical"});
-  for (const AblationResult& r : ablations) {
-    single.AddRow({r.dense ? "on" : "off", r.batch ? "on" : "off",
-                   FmtDouble(r.ms, 2), FmtDouble(single_baseline_ms / r.ms, 2),
-                   r.identical ? "yes" : "NO"});
-  }
-  single.Print(std::cout);
-
-  // --- Multi-suspect fan-out ------------------------------------------------
-  // Baseline: the pre-optimization pipeline — a serial loop of unbatched,
-  // sparse detections, exactly what tracing a leak against `num_suspects`
-  // copies cost before this layer existed.
-  std::vector<const AnswerServer*> sparse_ptrs, dense_ptrs;
-  for (size_t s = 0; s < num_suspects; ++s) {
-    sparse_ptrs.push_back(sparse_servers[s].get());
-    dense_ptrs.push_back(dense_servers[s].get());
-  }
-  std::vector<AdversarialDetection> multi_reference;
-  double multi_baseline_ms = 0;
-  for (int rep = 0; rep < reps; ++rep) {
-    const double ms = TimeMs([&] {
-      multi_reference.clear();
-      for (const AnswerServer* s : sparse_ptrs) {
-        multi_reference.push_back(
-            adv.Detect(weights, *s, kBaselineOpts).ValueOrDie());
-      }
-    });
-    multi_baseline_ms = rep == 0 ? ms : std::min(multi_baseline_ms, ms);
-  }
-
-  // The honest bar for the thread pool: a serial loop with every
-  // single-suspect fast path already on (batched answers, dense views — the
-  // default DetectOptions). DetectMany has to beat this, not just the
-  // unbatched pre-optimization loop.
-  std::vector<AdversarialDetection> serial_optimized;
+  // The bar for the thread pool: a serial loop of single-suspect detections.
+  std::vector<AdversarialDetection> serial;
   double serial_optimized_ms = 0;
   for (int rep = 0; rep < reps; ++rep) {
     const double ms = TimeMs([&] {
-      serial_optimized.clear();
-      for (const AnswerServer* s : dense_ptrs) {
-        serial_optimized.push_back(adv.Detect(weights, *s).ValueOrDie());
+      serial.clear();
+      for (const AnswerServer* s : suspects) {
+        serial.push_back(adv.Detect(weights, *s).ValueOrDie());
       }
     });
     serial_optimized_ms = rep == 0 ? ms : std::min(serial_optimized_ms, ms);
   }
-  bool serial_optimized_identical = serial_optimized.size() == multi_reference.size();
-  for (size_t s = 0; serial_optimized_identical && s < serial_optimized.size(); ++s) {
-    serial_optimized_identical = SameDetection(multi_reference[s], serial_optimized[s]);
+  for (size_t i = 0; i < serial[0].mark.size(); ++i) {
+    if (serial[0].mark.Get(i) != messages[0].Get(i)) {
+      std::cerr << "FAIL: clean detection recovered a wrong bit\n";
+      return 1;
+    }
   }
 
   std::vector<FanoutResult> fanout;
@@ -323,24 +224,24 @@ int main(int argc, char** argv) {
     r.threads = threads;
     std::vector<AdversarialDetection> out;
     for (int rep = 0; rep < reps; ++rep) {
-      const double ms = TimeMs([&] { out = adv.DetectMany(weights, dense_ptrs); });
+      const double ms = TimeMs([&] { out = adv.DetectMany(weights, suspects); });
       r.ms = rep == 0 ? ms : std::min(r.ms, ms);
     }
-    r.identical = out.size() == multi_reference.size();
+    r.identical = out.size() == serial.size();
     for (size_t s = 0; r.identical && s < out.size(); ++s) {
-      r.identical = SameDetection(multi_reference[s], out[s]);
+      r.identical = SameDetection(serial[s], out[s]);
     }
     fanout.push_back(r);
   }
   SetParallelThreads(0);  // restore the env/hardware default
 
   TextTable multi(StrCat("Multi-suspect tracing, ", num_suspects,
-                         " marked copies (baseline: serial unbatched sparse ",
-                         FmtDouble(multi_baseline_ms, 2), " ms)"));
-  multi.SetHeader({"threads", "ms", "speedup", "suspects/s", "identical"});
+                         " marked copies (serial loop: ",
+                         FmtDouble(serial_optimized_ms, 2), " ms)"));
+  multi.SetHeader({"threads", "ms", "vs serial", "suspects/s", "identical"});
   for (const FanoutResult& r : fanout) {
     multi.AddRow({StrCat(r.threads), FmtDouble(r.ms, 2),
-                  FmtDouble(multi_baseline_ms / r.ms, 2),
+                  FmtDouble(serial_optimized_ms / r.ms, 2),
                   FmtDouble(1000.0 * static_cast<double>(num_suspects) / r.ms, 1),
                   r.identical ? "yes" : "NO"});
   }
@@ -348,20 +249,18 @@ int main(int argc, char** argv) {
   const double fanout_8t_ms = fanout.back().ms;
   const bool parallel_faster_than_serial = fanout_8t_ms < serial_optimized_ms;
   std::cout << "hardware threads visible: " << std::thread::hardware_concurrency()
-            << "; speedups are vs the pre-optimization serial detector "
-               "(unbatched answers, sparse weight lookups).\n";
-  std::cout << "serial optimized loop (dense+batch, 1 thread): "
+            << "\n";
+  std::cout << "serial loop (1 thread): "
             << FmtDouble(serial_optimized_ms, 2) << " ms; DetectMany@8T "
             << FmtDouble(fanout_8t_ms, 2) << " ms -> parallel faster: "
             << (parallel_faster_than_serial ? "yes" : "no")
             << " (expect no on a single hardware thread; the perf CI job "
                "checks this multicore).\n";
 
-  bool all_identical = serial_optimized_identical;
-  for (const AblationResult& r : ablations) all_identical &= r.identical;
+  bool all_identical = true;
   for (const FanoutResult& r : fanout) all_identical &= r.identical;
   if (!all_identical) {
-    std::cerr << "FAIL: detection output differs across ablations/threads\n";
+    std::cerr << "FAIL: detection output differs across threads\n";
     return 1;
   }
 
@@ -464,27 +363,7 @@ int main(int argc, char** argv) {
     w.EndObject();
     w.Key("hardware_threads").UInt(std::thread::hardware_concurrency());
     w.Key("reps").Int(reps);
-    w.Key("single_suspect").BeginObject();
-    w.Key("baseline_description")
-        .String("serial detection, unbatched answers, sparse weight lookups");
-    w.Key("baseline_ms").Double(single_baseline_ms);
-    w.Key("ablations").BeginArray();
-    for (const AblationResult& r : ablations) {
-      w.BeginObject();
-      w.Key("dense_views").Bool(r.dense);
-      w.Key("batch_answers").Bool(r.batch);
-      w.Key("ms").Double(r.ms);
-      w.Key("speedup").Double(single_baseline_ms / r.ms);
-      w.Key("identical_to_baseline").Bool(r.identical);
-      w.EndObject();
-    }
-    w.EndArray();
-    w.Key("dense_batch_speedup").Double(dense_batch_speedup);
-    w.EndObject();
     w.Key("multi_suspect").BeginObject();
-    w.Key("baseline_description")
-        .String("serial loop of pre-optimization detections over all suspects");
-    w.Key("baseline_ms").Double(multi_baseline_ms);
     w.Key("serial_optimized_ms").Double(serial_optimized_ms);
     w.Key("parallel_faster_than_serial").Bool(parallel_faster_than_serial);
     w.Key("runs").BeginArray();
@@ -492,10 +371,10 @@ int main(int argc, char** argv) {
       w.BeginObject();
       w.Key("threads").UInt(r.threads);
       w.Key("ms").Double(r.ms);
-      w.Key("speedup").Double(multi_baseline_ms / r.ms);
+      w.Key("speedup_vs_serial").Double(serial_optimized_ms / r.ms);
       w.Key("suspects_per_sec")
           .Double(1000.0 * static_cast<double>(num_suspects) / r.ms);
-      w.Key("identical_to_baseline").Bool(r.identical);
+      w.Key("identical_to_serial").Bool(r.identical);
       w.EndObject();
     }
     w.EndArray();

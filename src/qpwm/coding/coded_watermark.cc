@@ -87,18 +87,16 @@ CodedDetection CodedWatermark::DecodeChannel(AdversarialDetection detection) con
 }
 
 Result<CodedDetection> CodedWatermark::Detect(const WeightMap& original,
-                                              const AnswerServer& suspect,
-                                              const DetectOptions& options) const {
-  auto detection = channel_->Detect(original, suspect, options);
+                                              const AnswerServer& suspect) const {
+  auto detection = channel_->Detect(original, suspect);
   if (!detection.ok()) return detection.status();
   return DecodeChannel(std::move(detection).value());
 }
 
 std::vector<CodedDetection> CodedWatermark::DetectMany(
-    const WeightMap& original, const std::vector<const AnswerServer*>& suspects,
-    const DetectOptions& options) const {
-  std::vector<AdversarialDetection> raw =
-      channel_->DetectMany(original, suspects, options);
+    const WeightMap& original,
+    const std::vector<const AnswerServer*>& suspects) const {
+  std::vector<AdversarialDetection> raw = channel_->DetectMany(original, suspects);
   std::vector<CodedDetection> out;
   out.reserve(raw.size());
   for (AdversarialDetection& d : raw) out.push_back(DecodeChannel(std::move(d)));

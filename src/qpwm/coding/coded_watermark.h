@@ -69,16 +69,15 @@ class CodedWatermark {
   /// Detects, decodes, and judges. Never fails on structural damage —
   /// erasures flow through the decoder into a partial verdict.
   [[nodiscard]] Result<CodedDetection> Detect(const WeightMap& original,
-                                const AnswerServer& suspect,
-                                const DetectOptions& options = {}) const;
+                                const AnswerServer& suspect) const;
 
   /// Multi-suspect fan-out: the channel reads run on the thread pool via
   /// AdversarialScheme::DetectMany; decoding and judging are deterministic
   /// per suspect, so results are index-aligned and bit-identical to serial
   /// Detect calls for any thread count.
   std::vector<CodedDetection> DetectMany(
-      const WeightMap& original, const std::vector<const AnswerServer*>& suspects,
-      const DetectOptions& options = {}) const;
+      const WeightMap& original,
+      const std::vector<const AnswerServer*>& suspects) const;
 
   /// The channel word Embed writes: codec + interleaver applied to payload,
   /// zero-padded to the channel's full width. Exposed for tests and for the

@@ -139,9 +139,8 @@ WeightMap FingerprintedWatermark::EmbedFor(const WeightMap& original,
 }
 
 Result<FingerprintObservation> FingerprintedWatermark::Observe(
-    const WeightMap& original, const AnswerServer& suspect,
-    const DetectOptions& options) const {
-  Result<CodedDetection> detected = wm_->Detect(original, suspect, options);
+    const WeightMap& original, const AnswerServer& suspect) const {
+  Result<CodedDetection> detected = wm_->Detect(original, suspect);
   QPWM_RETURN_NOT_OK(detected.status());
   FingerprintObservation obs;
   obs.channel = std::move(detected).value();

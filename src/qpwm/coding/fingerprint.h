@@ -213,8 +213,7 @@ class FingerprintedWatermark {
   /// The one channel read of a trace: detect + decode through the coded
   /// path, then fold the soft payload into flat per-position score arrays.
   [[nodiscard]] Result<FingerprintObservation> Observe(
-      const WeightMap& original, const AnswerServer& suspect,
-      const DetectOptions& options = {}) const;
+      const WeightMap& original, const AnswerServer& suspect) const;
 
   /// Exact (unpruned) score of one candidate against an observation.
   double Score(const FingerprintObservation& obs, uint64_t recipient) const;

@@ -8,60 +8,24 @@
 namespace qpwm {
 namespace {
 
-class LocalCarrier : public PairCarrier {
+// Adapts a base scheme (LocalScheme or TreeScheme) to PairCarrier.
+template <typename Scheme>
+class SchemeCarrier : public PairCarrier {
  public:
-  explicit LocalCarrier(const LocalScheme& base) : base_(&base) {}
-  size_t NumPairs() const override { return base_->CapacityBits(); }
-  void Apply(const BitVec& expanded_mark, WeightMap& weights,
-             PairEncoding encoding) const override {
-    base_->marking().Apply(expanded_mark, weights, encoding);
-  }
-  std::unique_ptr<DetectRunContext> MakeRunContext(
-      const WeightMap& original, const DetectOptions& options) const override {
-    auto ctx = std::make_unique<Ctx>();
-    ctx->inner = base_->MakeDetectContext(original, options);
-    return ctx;
-  }
-  const std::vector<PairObservation>& Observe(
-      const DetectRunContext& ctx, const AnswerServer& suspect,
-      DetectScratch& scratch) const override {
-    return base_->ObservePairsInto(static_cast<const Ctx&>(ctx).inner, suspect,
-                                   scratch);
-  }
-
- private:
-  struct Ctx : DetectRunContext {
-    LocalScheme::DetectContext inner;
-  };
-  const LocalScheme* base_;
-};
-
-class TreeCarrier : public PairCarrier {
- public:
-  explicit TreeCarrier(const TreeScheme& base) : base_(&base) {}
-  size_t NumPairs() const override { return base_->CapacityBits(); }
+  explicit SchemeCarrier(const Scheme& base) : base_(&base) {}
   void Apply(const BitVec& expanded_mark, WeightMap& weights,
              PairEncoding encoding) const override {
     base_->ApplyMark(expanded_mark, weights, encoding);
   }
-  std::unique_ptr<DetectRunContext> MakeRunContext(
-      const WeightMap& original, const DetectOptions& options) const override {
-    auto ctx = std::make_unique<Ctx>();
-    ctx->inner = base_->MakeDetectContext(original, options);
-    return ctx;
+  const WitnessPlan& witness_plan() const override {
+    return base_->witness_plan();
   }
-  const std::vector<PairObservation>& Observe(
-      const DetectRunContext& ctx, const AnswerServer& suspect,
-      DetectScratch& scratch) const override {
-    return base_->ObservePairsInto(static_cast<const Ctx&>(ctx).inner, suspect,
-                                   scratch);
+  std::vector<Weight> SlotWeights(const WeightMap& weights) const override {
+    return base_->SlotWeights(weights);
   }
 
  private:
-  struct Ctx : DetectRunContext {
-    TreeScheme::DetectContext inner;
-  };
-  const TreeScheme* base_;
+  const Scheme* base_;
 };
 
 }  // namespace
@@ -70,21 +34,23 @@ AdversarialScheme::AdversarialScheme(std::unique_ptr<PairCarrier> carrier,
                                      size_t redundancy)
     : carrier_(std::move(carrier)), redundancy_(redundancy) {
   QPWM_CHECK_GE(redundancy, 1u);
-  capacity_ = carrier_->NumPairs() / redundancy_;
+  capacity_ = carrier_->witness_plan().num_pairs / redundancy_;
 }
 
 AdversarialScheme::AdversarialScheme(const LocalScheme& base, size_t redundancy)
-    : AdversarialScheme(std::make_unique<LocalCarrier>(base), redundancy) {}
+    : AdversarialScheme(std::make_unique<SchemeCarrier<LocalScheme>>(base),
+                        redundancy) {}
 
 AdversarialScheme::AdversarialScheme(const TreeScheme& base, size_t redundancy)
-    : AdversarialScheme(std::make_unique<TreeCarrier>(base), redundancy) {}
+    : AdversarialScheme(std::make_unique<SchemeCarrier<TreeScheme>>(base),
+                        redundancy) {}
 
 WeightMap AdversarialScheme::Embed(const WeightMap& original,
                                    const BitVec& message) const {
   QPWM_CHECK_EQ(message.size(), capacity_);
   // Expand the message over the pair groups; pairs beyond the last full
   // group carry a fixed 0 and are ignored by the detector.
-  BitVec expanded(carrier_->NumPairs());
+  BitVec expanded(carrier_->witness_plan().num_pairs);
   for (size_t j = 0; j < capacity_; ++j) {
     for (size_t k = 0; k < redundancy_; ++k) {
       expanded.Set(j * redundancy_ + k, message.Get(j));
@@ -96,12 +62,10 @@ WeightMap AdversarialScheme::Embed(const WeightMap& original,
 }
 
 Result<AdversarialDetection> AdversarialScheme::Detect(
-    const WeightMap& original, const AnswerServer& suspect,
-    const DetectOptions& options) const {
-  const std::unique_ptr<DetectRunContext> ctx =
-      carrier_->MakeRunContext(original, options);
+    const WeightMap& original, const AnswerServer& suspect) const {
   DetectScratch scratch;
-  return DecodeVotes(carrier_->Observe(*ctx, suspect, scratch));
+  return DecodeVotes(ReadPairs(carrier_->witness_plan(),
+                               carrier_->SlotWeights(original), suspect, scratch));
 }
 
 AdversarialDetection AdversarialScheme::DecodeVotes(
@@ -156,24 +120,23 @@ AdversarialDetection AdversarialScheme::DecodeVotes(
 }
 
 std::vector<AdversarialDetection> AdversarialScheme::DetectMany(
-    const WeightMap& original, const std::vector<const AnswerServer*>& suspects,
-    const DetectOptions& options) const {
+    const WeightMap& original,
+    const std::vector<const AnswerServer*>& suspects) const {
   for (const AnswerServer* s : suspects) QPWM_CHECK(s != nullptr);
   // Each suspect's detection is independent; per-suspect results land in
   // per-index slots, so the fan-out is bit-identical to the serial loop for
-  // any thread count. The run context (the original weights' dense view) is
-  // built once and shared read-only; the per-suspect working memory — answer
-  // batches, stamp tables, observation lists — comes from a scratch pool, so
-  // blocks reuse warm buffers instead of reallocating per suspect (the
-  // allocation churn that kept the old per-suspect fan-out from scaling).
-  const std::unique_ptr<DetectRunContext> ctx =
-      carrier_->MakeRunContext(original, options);
+  // any thread count. The original slot weights are gathered once and shared
+  // read-only; the per-suspect working memory — answer batches, stamp
+  // tables, observation lists — comes from a scratch pool, so blocks reuse
+  // warm buffers instead of reallocating per suspect.
+  const WitnessPlan& plan = carrier_->witness_plan();
+  const std::vector<Weight> originals = carrier_->SlotWeights(original);
   ScratchPool<DetectScratch> pool;
   std::vector<AdversarialDetection> out(suspects.size());
   ParallelBlocks<int>(suspects.size(), [&](size_t begin, size_t end) {
     std::unique_ptr<DetectScratch> scratch = pool.Acquire();
     for (size_t i = begin; i < end; ++i) {
-      out[i] = DecodeVotes(carrier_->Observe(*ctx, *suspects[i], *scratch));
+      out[i] = DecodeVotes(ReadPairs(plan, originals, *suspects[i], *scratch));
     }
     pool.Release(std::move(scratch));
     return 0;

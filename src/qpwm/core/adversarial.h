@@ -62,30 +62,16 @@ struct AdversarialDetection {
   bool complete() const { return bits_erased == 0; }
 };
 
-/// Opaque per-run detection state: built once per Detect/DetectMany run and
-/// shared read-only across every suspect (e.g. the hoisted dense view of the
-/// owner's original weights, which used to be rebuilt per suspect).
-class DetectRunContext {
- public:
-  virtual ~DetectRunContext() = default;
-};
-
-/// What the wrapper needs from a base scheme: how many mark-carrying pairs
-/// it has, how to write a full-width mark, and how to read the pair
-/// observations back through a suspect server (erasure-aware). Observe fills
-/// and returns scratch.observations, so a pooled scratch makes multi-suspect
-/// fan-out allocation-free in steady state.
+/// What the wrapper needs from a base scheme: how to write a full-width
+/// mark, the scheme's pair reads, and the weights its read slots start from.
+/// Both schemes provide exactly these (ApplyMark, witness_plan, SlotWeights).
 class PairCarrier {
  public:
   virtual ~PairCarrier() = default;
-  virtual size_t NumPairs() const = 0;
   virtual void Apply(const BitVec& expanded_mark, WeightMap& weights,
                      PairEncoding encoding) const = 0;
-  virtual std::unique_ptr<DetectRunContext> MakeRunContext(
-      const WeightMap& original, const DetectOptions& options) const = 0;
-  virtual const std::vector<PairObservation>& Observe(
-      const DetectRunContext& ctx, const AnswerServer& suspect,
-      DetectScratch& scratch) const = 0;
+  virtual const WitnessPlan& witness_plan() const = 0;
+  virtual std::vector<Weight> SlotWeights(const WeightMap& weights) const = 0;
 };
 
 /// Adversarial wrapper around a planned base scheme.
@@ -104,12 +90,9 @@ class AdversarialScheme {
   /// its pair group with antipodal encoding.
   WeightMap Embed(const WeightMap& original, const BitVec& message) const;
 
-  /// Majority decoding from suspect answers. `options` selects the serving
-  /// fast paths (batched witness answers, dense weight views); the detection
-  /// output is bit-identical for every setting.
+  /// Majority decoding from suspect answers.
   [[nodiscard]] Result<AdversarialDetection> Detect(const WeightMap& original,
-                                      const AnswerServer& suspect,
-                                      const DetectOptions& options = {}) const;
+                                      const AnswerServer& suspect) const;
 
   /// Detects against many suspect copies at once — Remark 2's fingerprint
   /// tracing, where a leak is matched against up to 2^l distinct marked
@@ -119,8 +102,8 @@ class AdversarialScheme {
   /// are rejected by QPWM_CHECK; detection itself never fails (partial
   /// reports, not errors), so the results are returned by value.
   std::vector<AdversarialDetection> DetectMany(
-      const WeightMap& original, const std::vector<const AnswerServer*>& suspects,
-      const DetectOptions& options = {}) const;
+      const WeightMap& original,
+      const std::vector<const AnswerServer*>& suspects) const;
 
  private:
   explicit AdversarialScheme(std::unique_ptr<PairCarrier> carrier, size_t redundancy);

@@ -74,44 +74,6 @@ Weight QueryIndex::SumWeights(size_t param_idx, const WeightMap& weights) const 
   return sum;
 }
 
-AnswerSet QueryIndex::AnswersFor(size_t param_idx, const WeightMap& weights) const {
-  AnswerSet out;
-  out.reserve(results_[param_idx].size());
-  for (uint32_t w : results_[param_idx]) {
-    out.push_back({active_[w], weights.Get(active_[w])});
-  }
-  return out;
-}
-
-Weight QueryIndex::SumWeights(size_t param_idx, const DenseWeightView& view) const {
-  Weight sum = 0;
-  for (uint32_t w : results_[param_idx]) sum += view.at(w);
-  return sum;
-}
-
-AnswerSet QueryIndex::AnswersFor(size_t param_idx, const DenseWeightView& view) const {
-  AnswerSet out;
-  out.reserve(results_[param_idx].size());
-  for (uint32_t w : results_[param_idx]) {
-    out.push_back({active_[w], view.at(w)});
-  }
-  return out;
-}
-
-void QueryIndex::AppendAnswersFlat(size_t param_idx, const WeightMap& weights,
-                                   FlatAnswerBatch& out) const {
-  for (uint32_t w : results_[param_idx]) {
-    out.AppendRow(active_[w], weights.Get(active_[w]));
-  }
-}
-
-void QueryIndex::AppendAnswersFlat(size_t param_idx, const DenseWeightView& view,
-                                   FlatAnswerBatch& out) const {
-  for (uint32_t w : results_[param_idx]) {
-    out.AppendRow(active_[w], view.at(w));
-  }
-}
-
 DenseWeightView::DenseWeightView(const QueryIndex& index, const WeightMap& weights) {
   dense_.reserve(index.num_active());
   for (size_t w = 0; w < index.num_active(); ++w) {
@@ -162,50 +124,46 @@ void AnswerAllFlat(const AnswerServer& server, const std::vector<Tuple>& params,
   }
 }
 
-AnswerSet ServingSnapshot::Answer(const Tuple& params) const {
-  // Same serving contract as HonestServer, but against the frozen copy: the
-  // dense view for in-domain parameters, direct evaluation for the rest.
-  auto idx = index_->FindParam(params);
-  if (idx.ok()) return index_->AnswersFor(idx.value(), view_);
-  AnswerSet out;
-  for (Tuple& t : index_->query().Evaluate(index_->structure(), params)) {
-    Weight w = weights_.Get(t);
-    out.push_back({std::move(t), w});
-  }
-  return out;
+namespace {
+
+// The two answer shapes HonestServer::Serve writes into.
+void ReserveRows(AnswerSet& out, size_t rows) { out.reserve(out.size() + rows); }
+void ReserveRows(FlatAnswerBatch&, size_t) {}  // reused across calls
+void AppendRow(AnswerSet& out, const Tuple& element, Weight w) {
+  out.push_back({element, w});
+}
+void AppendRow(FlatAnswerBatch& out, const Tuple& element, Weight w) {
+  out.AppendRow(element, w);
 }
 
-void ServingSnapshot::AnswerAllFlat(const std::vector<Tuple>& params,
-                                    FlatAnswerBatch& out) const {
-  out.Clear();
-  for (const Tuple& p : params) {
-    auto idx = index_->FindParam(p);
-    if (idx.ok()) {
-      index_->AppendAnswersFlat(idx.value(), view_, out);
-    } else {
-      for (const Tuple& t : index_->query().Evaluate(index_->structure(), p)) {
-        out.AppendRow(t, weights_.Get(t));
-      }
-    }
-    out.FinishParam();
-  }
-}
+}  // namespace
 
-AnswerSet HonestServer::Answer(const Tuple& params) const {
+template <typename Out>
+void HonestServer::Serve(const Tuple& params, Out& out) const {
   // A real server would evaluate the query; ours serves from the shared
   // index, which is observationally identical and keeps benches fast.
   auto idx = index_->FindParam(params);
   if (idx.ok()) {
-    return view_.has_value() ? index_->AnswersFor(idx.value(), *view_)
-                             : index_->AnswersFor(idx.value(), weights_);
+    const std::vector<uint32_t>& result = index_->ResultFor(idx.value());
+    ReserveRows(out, result.size());
+    for (uint32_t w : result) AppendRow(out, index_->active_element(w), view_.at(w));
+    return;
   }
-  // Parameter outside the registered domain: evaluate directly (the sparse
-  // path — the dense view only covers the index's active elements).
+  // Outside the registered domain: evaluate directly, unless the parameter
+  // cannot name a query input at all.
+  const Structure& g = index_->structure();
+  if (params.size() != index_->query().ParamArity()) return;
+  for (ElemId e : params) {
+    if (e >= g.universe_size()) return;
+  }
+  for (const Tuple& t : index_->query().Evaluate(g, params)) {
+    AppendRow(out, t, weights_.Get(t));
+  }
+}
+
+AnswerSet HonestServer::Answer(const Tuple& params) const {
   AnswerSet out;
-  for (Tuple& t : index_->query().Evaluate(index_->structure(), params)) {
-    Weight w = weights_.Get(t);
-    out.push_back({std::move(t), w});
-  }
+  Serve(params, out);
   return out;
 }
 
@@ -213,18 +171,7 @@ void HonestServer::AnswerAllFlat(const std::vector<Tuple>& params,
                                  FlatAnswerBatch& out) const {
   out.Clear();
   for (const Tuple& p : params) {
-    auto idx = index_->FindParam(p);
-    if (idx.ok()) {
-      if (view_.has_value()) {
-        index_->AppendAnswersFlat(idx.value(), *view_, out);
-      } else {
-        index_->AppendAnswersFlat(idx.value(), weights_, out);
-      }
-    } else {
-      for (const Tuple& t : index_->query().Evaluate(index_->structure(), p)) {
-        out.AppendRow(t, weights_.Get(t));
-      }
-    }
+    Serve(p, out);
     out.FinishParam();
   }
 }

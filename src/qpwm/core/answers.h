@@ -8,8 +8,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
-#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -53,7 +51,11 @@ struct FlatAnswerBatch {
     param_offsets.assign(1, 0);
   }
   void AppendRow(const Tuple& element, Weight w) {
-    elems.insert(elems.end(), element.begin(), element.end());
+    if (element.size() == 1) {
+      elems.push_back(element[0]);  // the common unary row, without a range insert
+    } else {
+      elems.insert(elems.end(), element.begin(), element.end());
+    }
     elem_offsets.push_back(static_cast<uint32_t>(elems.size()));
     weights.push_back(w);
   }
@@ -67,21 +69,6 @@ struct FlatAnswerBatch {
   void FinishParam() {
     param_offsets.push_back(static_cast<uint32_t>(num_rows()));
   }
-};
-
-/// Detection fast-path knobs. Both default on; detection output (marks,
-/// margins, erasure counts) is bit-identical for every combination — the
-/// switches exist as measured ablations (bench_detect) and to reproduce the
-/// pre-optimization serving path as a baseline.
-struct DetectOptions {
-  /// Answer each distinct witness parameter once per detection run and share
-  /// the answer across every pair that reads through it (one AnswerAll
-  /// round-trip instead of two Answer() calls per pair).
-  bool batch_answers = true;
-  /// Snapshot the owner's weights into a DenseWeightView aligned with the
-  /// QueryIndex active ids (O(1) indexed reads instead of per-tuple
-  /// WeightMap lookups).
-  bool dense_views = true;
 };
 
 /// Precomputed query results over a parameter domain.
@@ -138,21 +125,6 @@ class QueryIndex {
   /// f(a) = sum of weights over W_a under `weights`.
   Weight SumWeights(size_t param_idx, const WeightMap& weights) const;
 
-  /// A_a under `weights`.
-  AnswerSet AnswersFor(size_t param_idx, const WeightMap& weights) const;
-
-  /// Dense-view fast paths: identical results, O(1) weight reads.
-  Weight SumWeights(size_t param_idx, const class DenseWeightView& view) const;
-  AnswerSet AnswersFor(size_t param_idx, const class DenseWeightView& view) const;
-
-  /// Appends A_a rows for one parameter into a flat batch — same rows in the
-  /// same order as AnswersFor, no per-row allocation. The caller closes the
-  /// parameter with out.FinishParam().
-  void AppendAnswersFlat(size_t param_idx, const WeightMap& weights,
-                         FlatAnswerBatch& out) const;
-  void AppendAnswersFlat(size_t param_idx, const class DenseWeightView& view,
-                         FlatAnswerBatch& out) const;
-
  private:
   const Structure* g_;
   const ParametricQuery* query_;
@@ -168,11 +140,11 @@ class QueryIndex {
 };
 
 /// Flat snapshot of a WeightMap over a QueryIndex's active elements: slot w
-/// holds the weight of active_element(w). Detection reads the same few
+/// holds the weight of active_element(w). Serving reads the same few
 /// thousand weights over and over; the view turns every read into an O(1)
 /// vector index instead of a per-tuple hash lookup. Tuples outside the index
-/// (inserted rows, out-of-domain parameters) stay on the sparse WeightMap
-/// path — the view only ever covers the active set.
+/// (out-of-domain parameters' results) stay on the WeightMap — the view only
+/// ever covers the active set.
 class DenseWeightView {
  public:
   DenseWeightView(const QueryIndex& index, const WeightMap& weights);
@@ -223,91 +195,58 @@ std::vector<AnswerSet> AnswerAll(const AnswerServer& server,
 void AnswerAllFlat(const AnswerServer& server, const std::vector<Tuple>& params,
                    FlatAnswerBatch& out);
 
-/// An epoch-stamped immutable serving snapshot: owns a copy of the weights
-/// plus a dense view over them, so a detect pass reads a consistent state no
-/// matter how the live server mutates underneath. Snapshots are shared
-/// (shared_ptr) between the writer and any in-flight detect passes; when the
-/// writer publishes a newer epoch it calls Retire() on the old one, which
-/// flips a flag readers poll to notice they lost their epoch. Retiring never
-/// invalidates the data — a reader holding the shared_ptr may finish its
-/// pass against retired weights if it chooses to.
-class ServingSnapshot : public BatchAnswerServer {
+/// A server honestly serving a (possibly watermarked / attacked) weight map
+/// over the owner's structure. Immutable: the weights are fixed at
+/// construction and snapshot into a DenseWeightView, so an in-domain
+/// parameter is served from the shared index with O(1) weight reads. A
+/// parameter outside the registered domain is evaluated directly; one of the
+/// wrong arity, or naming an element outside the universe, gets an empty
+/// answer.
+class HonestServer : public BatchAnswerServer {
  public:
-  ServingSnapshot(const QueryIndex& index, const WeightMap& weights,
-                  uint64_t epoch)
-      : index_(&index), weights_(weights), view_(index, weights_),
-        epoch_(epoch) {}
+  HonestServer(const QueryIndex& index, WeightMap weights)
+      : index_(&index), weights_(std::move(weights)), view_(index, weights_) {}
 
   AnswerSet Answer(const Tuple& params) const override;
   void AnswerAllFlat(const std::vector<Tuple>& params,
                      FlatAnswerBatch& out) const override;
 
-  /// The server version this snapshot was taken at.
+  const WeightMap& weights() const { return weights_; }
+
+ private:
+  /// Appends the rows of A_params to `out` (an AnswerSet or a
+  /// FlatAnswerBatch), in answer order.
+  template <typename Out>
+  void Serve(const Tuple& params, Out& out) const;
+
+  const QueryIndex* index_;
+  WeightMap weights_;
+  DenseWeightView view_ QPWM_VIEW_OF(weights_);
+};
+
+/// An epoch-stamped serving snapshot: an HonestServer over a frozen copy of
+/// the weights, so a detect pass reads a consistent state no matter how the
+/// writer's live weights move on. Snapshots are shared (shared_ptr) between
+/// the writer and any in-flight detect passes; when the writer publishes a
+/// newer epoch it calls Retire() on the old one, which flips a flag readers
+/// poll to notice they lost their epoch. Retiring never invalidates the
+/// data — a reader holding the shared_ptr may finish its pass against
+/// retired weights if it chooses to.
+class ServingSnapshot : public HonestServer {
+ public:
+  ServingSnapshot(const QueryIndex& index, WeightMap weights, uint64_t epoch)
+      : HonestServer(index, std::move(weights)), epoch_(epoch) {}
+
+  /// The writer epoch this snapshot was taken at.
   uint64_t epoch() const { return epoch_; }
   /// Marks the snapshot superseded. Const and thread-safe: the writer
   /// retires through the same shared_ptr<const ServingSnapshot> readers hold.
   void Retire() const { retired_.store(true, std::memory_order_release); }
   bool retired() const { return retired_.load(std::memory_order_acquire); }
 
-  const QueryIndex& index() const { return *index_; }
-  const WeightMap& weights() const { return weights_; }
-  const DenseWeightView& view() const { return view_; }
-
  private:
-  const QueryIndex* index_;
-  WeightMap weights_;
-  DenseWeightView view_ QPWM_VIEW_OF(weights_);
   uint64_t epoch_;
   mutable std::atomic<bool> retired_{false};
-};
-
-/// A server honestly serving a (possibly watermarked / attacked) weight map
-/// over the owner's structure.
-class HonestServer : public BatchAnswerServer {
- public:
-  /// `use_dense_view` snapshots the weights into a DenseWeightView so
-  /// in-domain answers are served with O(1) weight reads; pass false to get
-  /// the pre-optimization sparse serving path (the bench ablation).
-  HonestServer(const QueryIndex& index, WeightMap weights,
-               bool use_dense_view = true)
-      : index_(&index), weights_(std::move(weights)) {
-    if (use_dense_view) view_.emplace(index, weights_);
-  }
-
-  AnswerSet Answer(const Tuple& params) const override;
-  void AnswerAllFlat(const std::vector<Tuple>& params,
-                     FlatAnswerBatch& out) const override;
-
-  const WeightMap& weights() const { return weights_; }
-  /// Mutable access invalidates the dense view (the snapshot would go stale)
-  /// and bumps the version: any epoch snapshot taken earlier is now behind
-  /// the live state. Call RefreshView() after mutating to restore the fast
-  /// path.
-  WeightMap& mutable_weights() {
-    view_.reset();
-    ++version_;
-    return weights_;
-  }
-  /// Rebuilds the dense snapshot from the current weights.
-  void RefreshView() { view_.emplace(*index_, weights_); }
-  bool has_dense_view() const { return view_.has_value(); }
-
-  /// Monotone mutation counter; starts at 0 and bumps on every
-  /// mutable_weights() call.
-  uint64_t version() const { return version_; }
-
-  /// Freezes the current weights into an epoch snapshot stamped with the
-  /// current version. The caller owns the lifetime; the server keeps no
-  /// reference, so later mutations never race the snapshot.
-  std::shared_ptr<const ServingSnapshot> MakeSnapshot() const {
-    return std::make_shared<const ServingSnapshot>(*index_, weights_, version_);
-  }
-
- private:
-  const QueryIndex* index_;
-  WeightMap weights_;
-  std::optional<DenseWeightView> view_;
-  uint64_t version_ = 0;
 };
 
 }  // namespace qpwm

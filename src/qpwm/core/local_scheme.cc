@@ -4,7 +4,6 @@
 #include <cmath>
 #include <map>
 #include <numeric>
-#include <unordered_map>
 
 #include "qpwm/logic/locality.h"
 #include "qpwm/structure/typemap.h"
@@ -118,8 +117,7 @@ Result<LocalScheme> LocalScheme::Plan(const QueryIndex& index,
   // TypeAll extracts and canonicalizes neighborhoods in parallel through the
   // shared canonical-form cache; ids come back in first-seen order, exactly
   // as the old serial TypeOf loop produced them.
-  NeighborhoodTyper typer(g, rho,
-                          options.canon_cache ? &CanonCache::Global() : nullptr);
+  NeighborhoodTyper typer(g, rho, &CanonCache::Global());
   std::vector<uint32_t> param_type = typer.TypeAll(index.domain());
   const size_t ntp = typer.NumTypes();
 
@@ -220,197 +218,46 @@ Result<LocalScheme> LocalScheme::Plan(const QueryIndex& index,
 WeightMap LocalScheme::Embed(const WeightMap& original, const BitVec& mark) const {
   QPWM_CHECK_EQ(mark.size(), CapacityBits());
   WeightMap out = original;
-  marking_->Apply(mark, out, options_.encoding);
+  ApplyMark(mark, out, options_.encoding);
   return out;
 }
 
-LocalScheme::WitnessPlan LocalScheme::BuildWitnessPlan(const PairMarking& marking) {
-  // Group the 2 * num_pairs element reads by their witness parameter, in
-  // first-use order — exactly the grouping detection used to rebuild per
-  // call, hoisted to plan time (it depends only on the pairs and the index).
+WitnessPlan LocalScheme::BuildWitnessPlan(const PairMarking& marking) {
+  // Each element is read through the first parameter whose result contains
+  // it; an element no parameter returns stays unread (erased).
   const QueryIndex& index = marking.index();
-  WitnessPlan plan;
-  std::unordered_map<uint32_t, uint32_t> slot_of_param;  // param idx -> slot
-  std::vector<std::vector<std::pair<uint32_t, uint32_t>>> reads;
-  for (size_t i = 0; i < marking.size(); ++i) {
-    const WeightPair& p = marking.pairs()[i];
-    const uint32_t elems[2] = {p.plus, p.minus};
-    for (int side = 0; side < 2; ++side) {
-      const auto& witnesses = index.ParamsContaining(elems[side]);
-      if (witnesses.empty()) continue;  // stays unfound -> erased
-      auto [it, inserted] = slot_of_param.emplace(
-          witnesses[0], static_cast<uint32_t>(plan.params.size()));
-      if (inserted) {
-        plan.params.push_back(index.param(witnesses[0]));
-        reads.emplace_back();
-      }
-      reads[it->second].push_back(
-          {static_cast<uint32_t>(2 * i + side), elems[side]});
-    }
-  }
-  plan.read_offsets.reserve(reads.size() + 1);
-  plan.read_offsets.push_back(0);
-  for (const auto& slot_reads : reads) {
-    plan.reads.insert(plan.reads.end(), slot_reads.begin(), slot_reads.end());
-    plan.read_offsets.push_back(static_cast<uint32_t>(plan.reads.size()));
-  }
-  return plan;
-}
-
-LocalScheme::DetectContext LocalScheme::MakeDetectContext(
-    const WeightMap& original, const DetectOptions& options) const {
-  DetectContext ctx;
-  ctx.original = &original;
-  if (options.dense_views) ctx.original_view.emplace(marking_->index(), original);
-  ctx.options = options;
-  return ctx;
-}
-
-const std::vector<PairObservation>& LocalScheme::ObservePairsInto(
-    const DetectContext& ctx, const AnswerServer& suspect,
-    DetectScratch& sc) const {
-  const QueryIndex& index = marking_->index();
-  const size_t num_pairs = marking_->size();
-  sc.observations.clear();
-  sc.observations.reserve(num_pairs);
-
-  // Original weights of the pair elements: the run context's dense snapshot
-  // (one O(1) read per element) or the per-tuple WeightMap path. Same values
-  // either way.
-  auto original_weight = [&](uint32_t w) -> Weight {
-    return ctx.original_view ? ctx.original_view->at(w)
-                             : ctx.original->Get(index.active_element(w));
-  };
-
-  if (!ctx.options.batch_answers) {
-    // Pre-optimization serving path: one Answer() round trip per pair element
-    // (an AnswerSet materialization plus a linear scan). Missing from the
-    // witness answer (deleted tuple, shipped subset) or witness-less
-    // (inactive — cannot happen for planned pairs, checked defensively)
-    // reads as an erasure.
-    auto read_weight = [&](uint32_t w) -> std::optional<Weight> {
+  std::vector<SlotRead> slots;
+  slots.reserve(2 * marking.size());
+  for (const WeightPair& p : marking.pairs()) {
+    for (const uint32_t w : {p.plus, p.minus}) {
       const auto& witnesses = index.ParamsContaining(w);
-      if (witnesses.empty()) return std::nullopt;
-      const Tuple& elem = index.active_element(w);
-      const Tuple& param = index.param(witnesses[0]);
-      for (const AnswerRow& row : suspect.Answer(param)) {
-        if (row.element == elem) return row.weight;
-      }
-      return std::nullopt;
-    };
-    for (size_t i = 0; i < num_pairs; ++i) {
-      const WeightPair& p = marking_->pairs()[i];
-      std::optional<Weight> plus = read_weight(p.plus);
-      std::optional<Weight> minus = read_weight(p.minus);
-      PairObservation obs;
-      if (!plus.has_value() || !minus.has_value()) {
-        obs.erased = true;
+      if (witnesses.empty()) {
+        slots.push_back({nullptr, 0, w});
       } else {
-        const Weight d_plus = *plus - original_weight(p.plus);
-        const Weight d_minus = *minus - original_weight(p.minus);
-        obs.delta = d_plus - d_minus;
-      }
-      sc.observations.push_back(obs);
-    }
-    return sc.observations;
-  }
-
-  // Batched serving: answer each distinct witness of the precomputed plan
-  // once (a single columnar AnswerAllFlat round trip — pairs cluster around
-  // low-id witnesses, so distinct witnesses are far fewer than reads), then
-  // resolve each witness's reads through an epoch-stamped flat table keyed
-  // by active id. No per-row allocation and O(1) per read.
-  sc.read_weight.assign(2 * num_pairs, 0);
-  sc.read_found.assign(2 * num_pairs, 0);
-  AnswerAllFlat(suspect, witness_plan_.params, sc.answers);
-
-  if (sc.stamp.size() != index.num_active()) {
-    sc.stamp.assign(index.num_active(), 0);
-    sc.row_weight.assign(index.num_active(), 0);
-  }
-  const bool unary = index.has_unary_actives();
-  for (size_t s = 0; s < witness_plan_.params.size(); ++s) {
-    const uint64_t epoch = ++sc.epoch;
-    for (uint32_t r = sc.answers.param_offsets[s];
-         r < sc.answers.param_offsets[s + 1]; ++r) {
-      // Rows outside the active set (inserted fresh tuples) can never match a
-      // pair element; the first row per element wins, exactly like the
-      // unbatched scan. Unary results resolve to active ids with one array
-      // read; general arities pay the tuple hash.
-      const uint32_t eb = sc.answers.elem_offsets[r];
-      const uint32_t ee = sc.answers.elem_offsets[r + 1];
-      int64_t w = -1;
-      if (unary) {
-        if (ee - eb == 1) w = index.ActiveIdOfElem(sc.answers.elems[eb]);
-      } else {
-        sc.row_tuple.assign(sc.answers.elems.begin() + eb,
-                            sc.answers.elems.begin() + ee);
-        auto found = index.FindActive(sc.row_tuple);
-        if (found.ok()) w = static_cast<int64_t>(found.value());
-      }
-      if (w < 0 || sc.stamp[w] == epoch) continue;
-      sc.stamp[w] = epoch;
-      sc.row_weight[w] = sc.answers.weights[r];
-    }
-    for (uint32_t i = witness_plan_.read_offsets[s];
-         i < witness_plan_.read_offsets[s + 1]; ++i) {
-      const auto& [slot, w] = witness_plan_.reads[i];
-      if (sc.stamp[w] == epoch) {
-        sc.read_weight[slot] = sc.row_weight[w];
-        sc.read_found[slot] = 1;
+        slots.push_back({&index.param(witnesses[0]), witnesses[0], w});
       }
     }
   }
-
-  for (size_t i = 0; i < num_pairs; ++i) {
-    const WeightPair& p = marking_->pairs()[i];
-    PairObservation obs;
-    if (!sc.read_found[2 * i] || !sc.read_found[2 * i + 1]) {
-      obs.erased = true;
-    } else {
-      const Weight d_plus = sc.read_weight[2 * i] - original_weight(p.plus);
-      const Weight d_minus = sc.read_weight[2 * i + 1] - original_weight(p.minus);
-      obs.delta = d_plus - d_minus;
-    }
-    sc.observations.push_back(obs);
-  }
-  return sc.observations;
+  return MakeWitnessPlan(slots, &index, index.num_active());
 }
 
-std::vector<PairObservation> LocalScheme::ObservePairs(
-    const WeightMap& original, const AnswerServer& suspect,
-    const DetectOptions& options) const {
-  const DetectContext ctx = MakeDetectContext(original, options);
-  DetectScratch scratch;
-  return ObservePairsInto(ctx, suspect, scratch);
-}
-
-Result<std::vector<Weight>> LocalScheme::PairDeltas(const WeightMap& original,
-                                                    const AnswerServer& suspect) const {
-  std::vector<PairObservation> observations = ObservePairs(original, suspect);
-  std::vector<Weight> deltas;
-  deltas.reserve(observations.size());
-  for (const PairObservation& obs : observations) {
-    if (obs.erased) {
-      return Status::DetectionFailed(
-          "suspect answer is missing an expected element (structure tampered)");
-    }
-    deltas.push_back(obs.delta);
+std::vector<Weight> LocalScheme::SlotWeights(const WeightMap& weights) const {
+  // One sequential pass over the active set, then indexed reads: cheaper
+  // than a tuple lookup per read slot on large markings.
+  const DenseWeightView view(marking_->index(), weights);
+  std::vector<Weight> out;
+  out.reserve(2 * marking_->size());
+  for (const WeightPair& p : marking_->pairs()) {
+    out.push_back(view.at(p.plus));
+    out.push_back(view.at(p.minus));
   }
-  return deltas;
+  return out;
 }
 
 Result<BitVec> LocalScheme::Detect(const WeightMap& original,
                                    const AnswerServer& suspect) const {
-  auto deltas = PairDeltas(original, suspect);
-  if (!deltas.ok()) return deltas.status();
-  BitVec mark(marking_->size());
-  for (size_t i = 0; i < deltas.value().size(); ++i) {
-    // Clean deltas: +2 for bit 1; 0 (kOnOff) or -2 (kAntipodal) for bit 0.
-    const Weight threshold = options_.encoding == PairEncoding::kOnOff ? 1 : 0;
-    mark.Set(i, deltas.value()[i] >= threshold);
-  }
-  return mark;
+  return DecodePairsStrict(witness_plan_, SlotWeights(original), suspect,
+                           options_.encoding);
 }
 
 }  // namespace qpwm

@@ -56,11 +56,6 @@ struct LocalSchemeOptions {
   /// Pair leftover elements across classes (the [10] Prop. 4.3 fallback).
   bool fallback_pairing = true;
   PairEncoding encoding = PairEncoding::kOnOff;
-  /// Memoize neighborhood canonical forms through the process-wide
-  /// CanonCache. Off = every tuple canonicalizes from scratch (the
-  /// pre-optimization planner; kept as the perf-baseline ablation —
-  /// results are identical either way).
-  bool canon_cache = true;
 };
 
 /// Planned marker/detector pair for one (structure, query, domain) instance.
@@ -99,61 +94,28 @@ class LocalScheme {
   /// distortion of `original`.
   WeightMap Embed(const WeightMap& original, const BitVec& mark) const;
 
+  /// Writes `mark` (one bit per pair) into `weights` in place with an
+  /// explicit encoding — the hook the adversarial wrapper drives.
+  void ApplyMark(const BitVec& mark, WeightMap& weights,
+                 PairEncoding encoding) const {
+    marking_->Apply(mark, weights, encoding);
+  }
+
   /// Detector D, non-adversarial: recovers the mark from suspect answers.
   /// Needs the original weights (the owner has them) and indirect access to
-  /// the suspect server.
+  /// the suspect server. Strict: a pair element missing from the suspect's
+  /// answers fails the whole read with kDetectionFailed.
   [[nodiscard]] Result<BitVec> Detect(const WeightMap& original, const AnswerServer& suspect) const;
 
-  /// Raw per-pair deltas ((w*+ - w+) - (w*- - w-)). Strict: a pair element
-  /// missing from the suspect's answers fails the whole read with
-  /// kDetectionFailed (the pre-structural-attack contract).
-  [[nodiscard]] Result<std::vector<Weight>> PairDeltas(const WeightMap& original,
-                                         const AnswerServer& suspect) const;
+  /// The pair reads (see WitnessPlan): each element is read through the
+  /// first parameter whose result contains it, keyed by its active id.
+  const WitnessPlan& witness_plan() const { return witness_plan_; }
 
-  /// Erasure-aware per-pair reading: a pair whose element is missing from the
-  /// suspect's answers comes back flagged `erased` instead of failing the
-  /// read. The adversarial wrapper feeds these into majority decoding so
-  /// detection degrades gracefully under deletion/subset attacks.
-  ///
-  /// With `options.batch_answers` every distinct witness parameter is
-  /// answered once (one AnswerAll round trip) and shared across all pairs
-  /// that read through it; with `options.dense_views` the original weights
-  /// are snapshot into a DenseWeightView. Observations are bit-identical for
-  /// every setting.
-  std::vector<PairObservation> ObservePairs(const WeightMap& original,
-                                            const AnswerServer& suspect,
-                                            const DetectOptions& options = {}) const;
-
-  /// Per-run read state shared across every suspect of a detection run: the
-  /// owner's weights (and their dense snapshot, hoisted so a multi-suspect
-  /// fan-out builds it once instead of once per suspect).
-  struct DetectContext {
-    const WeightMap* original = nullptr;
-    std::optional<DenseWeightView> original_view;
-    DetectOptions options;
-  };
-  DetectContext MakeDetectContext(const WeightMap& original,
-                                  const DetectOptions& options) const;
-
-  /// ObservePairs against reusable buffers: fills and returns
-  /// scratch.observations (valid until the next call on that scratch).
-  /// Allocation-free once the scratch is warm; observations are bit-identical
-  /// to ObservePairs for every options combination.
-  const std::vector<PairObservation>& ObservePairsInto(
-      const DetectContext& ctx, const AnswerServer& suspect,
-      DetectScratch& scratch) const;
+  /// The weight under `weights` of every read slot's element, in slot order
+  /// (2 per pair) — the reference ReadPairs subtracts.
+  std::vector<Weight> SlotWeights(const WeightMap& weights) const;
 
  private:
-  /// Witness reads precomputed at plan time (they depend only on the pairs
-  /// and the index, never on the suspect): the distinct witness parameters in
-  /// first-use order, and per witness the (read slot, active id) resolutions,
-  /// flattened CSR-style. Slot 2i reads pair i's plus element, 2i+1 its minus.
-  struct WitnessPlan {
-    // qpwm-lint: allow(legacy-tuple-vector) — witness params interned once at Plan time
-    std::vector<Tuple> params;
-    std::vector<uint32_t> read_offsets;  // per witness: begin index in reads
-    std::vector<std::pair<uint32_t, uint32_t>> reads;  // (read slot, active id)
-  };
   static WitnessPlan BuildWitnessPlan(const PairMarking& marking);
 
   LocalScheme(std::unique_ptr<PairMarking> marking, LocalSchemeOptions options)

@@ -1,6 +1,7 @@
 #include "qpwm/core/pairs.h"
 
 #include <algorithm>
+#include <unordered_map>
 
 #include "qpwm/util/check.h"
 #include "qpwm/util/parallel.h"
@@ -15,7 +16,140 @@ namespace {
 // this once per subsample trial, so a low threshold multiplies the overhead.
 constexpr size_t kParallelCostThreshold = 8192;
 
+// Answers' rows are staged witness by witness, by dense key, and each
+// witness's reads are resolved against its own rows. A row is staged at
+// stamp `epoch`; a second row for the same key bumps the stamp to epoch + 1,
+// so a duplicated element reads as missing. The epoch advances by 2 per
+// witness, which keeps every earlier stamp below it. `key_of(elems, size)`
+// returns a row's dense key, or -1 for a row no read can match (a fresh
+// inserted tuple, a wrong arity). It is chosen once per run, not per row.
+template <typename KeyOf>
+void StageWitnesses(const WitnessPlan& plan, KeyOf&& key_of, DetectScratch& sc) {
+  const FlatAnswerBatch& answers = sc.answers;
+  for (size_t s = 0; s < plan.params.size(); ++s) {
+    sc.epoch += 2;
+    const uint64_t epoch = sc.epoch;
+    for (uint32_t r = answers.param_offsets[s]; r < answers.param_offsets[s + 1];
+         ++r) {
+      const uint32_t eb = answers.elem_offsets[r];
+      const int64_t key =
+          key_of(answers.elems.data() + eb, answers.elem_offsets[r + 1] - eb);
+      if (key < 0) continue;
+      if (sc.stamp[key] < epoch) {
+        sc.stamp[key] = epoch;
+        sc.row_weight[key] = answers.weights[r];
+      } else {
+        sc.stamp[key] = epoch + 1;
+      }
+    }
+    for (uint32_t i = plan.read_offsets[s]; i < plan.read_offsets[s + 1]; ++i) {
+      const auto& [slot, key] = plan.reads[i];
+      if (sc.stamp[key] == epoch) {
+        sc.read_weight[slot] = sc.row_weight[key];
+        sc.read_found[slot] = 1;
+      }
+    }
+  }
+}
+
 }  // namespace
+
+WitnessPlan MakeWitnessPlan(const std::vector<SlotRead>& slots,
+                            const QueryIndex* index, size_t num_keys) {
+  QPWM_CHECK_EQ(slots.size() % 2, 0u);
+  WitnessPlan plan;
+  plan.index = index;
+  plan.num_keys = num_keys;
+  plan.num_pairs = slots.size() / 2;
+  std::unordered_map<uint32_t, uint32_t> witness_of;  // witness id -> index
+  std::vector<std::vector<std::pair<uint32_t, uint32_t>>> reads;
+  for (size_t slot = 0; slot < slots.size(); ++slot) {
+    const SlotRead& read = slots[slot];
+    if (read.witness == nullptr) continue;  // stays unfound -> erased
+    QPWM_CHECK_LT(read.key, num_keys);
+    auto [it, inserted] = witness_of.try_emplace(
+        read.witness_id, static_cast<uint32_t>(plan.params.size()));
+    if (inserted) {
+      plan.params.push_back(*read.witness);
+      reads.emplace_back();
+    }
+    reads[it->second].push_back({static_cast<uint32_t>(slot), read.key});
+  }
+  plan.read_offsets.reserve(reads.size() + 1);
+  for (const auto& witness_reads : reads) {
+    plan.reads.insert(plan.reads.end(), witness_reads.begin(), witness_reads.end());
+    plan.read_offsets.push_back(static_cast<uint32_t>(plan.reads.size()));
+  }
+  return plan;
+}
+
+const std::vector<PairObservation>& ReadPairs(const WitnessPlan& plan,
+                                              const std::vector<Weight>& originals,
+                                              const AnswerServer& suspect,
+                                              DetectScratch& sc) {
+  const size_t num_slots = 2 * plan.num_pairs;
+  QPWM_CHECK_EQ(originals.size(), num_slots);
+  sc.read_weight.assign(num_slots, 0);
+  sc.read_found.assign(num_slots, 0);
+  AnswerAllFlat(suspect, plan.params, sc.answers);
+  QPWM_CHECK_EQ(sc.answers.num_params(), plan.params.size());
+  if (sc.stamp.size() != plan.num_keys) {
+    sc.stamp.assign(plan.num_keys, 0);
+    sc.row_weight.assign(plan.num_keys, 0);
+  }
+
+  const QueryIndex* index = plan.index;
+  if (index == nullptr) {
+    const size_t num_nodes = plan.num_keys;
+    StageWitnesses(plan, [num_nodes](const ElemId* e, uint32_t size) -> int64_t {
+      return size == 1 && e[0] < num_nodes ? static_cast<int64_t>(e[0]) : -1;
+    }, sc);
+  } else if (index->has_unary_actives()) {
+    StageWitnesses(plan, [index](const ElemId* e, uint32_t size) -> int64_t {
+      return size == 1 ? index->ActiveIdOfElem(e[0]) : -1;
+    }, sc);
+  } else {
+    StageWitnesses(plan, [index, &sc](const ElemId* e, uint32_t size) -> int64_t {
+      sc.row_tuple.assign(e, e + size);
+      auto found = index->FindActive(sc.row_tuple);
+      return found.ok() ? static_cast<int64_t>(found.value()) : -1;
+    }, sc);
+  }
+
+  sc.observations.clear();
+  sc.observations.reserve(plan.num_pairs);
+  for (size_t i = 0; i < plan.num_pairs; ++i) {
+    PairObservation obs;
+    if (!sc.read_found[2 * i] || !sc.read_found[2 * i + 1]) {
+      obs.erased = true;
+    } else {
+      const Weight d_plus = sc.read_weight[2 * i] - originals[2 * i];
+      const Weight d_minus = sc.read_weight[2 * i + 1] - originals[2 * i + 1];
+      obs.delta = d_plus - d_minus;
+    }
+    sc.observations.push_back(obs);
+  }
+  return sc.observations;
+}
+
+Result<BitVec> DecodePairsStrict(const WitnessPlan& plan,
+                                 const std::vector<Weight>& originals,
+                                 const AnswerServer& suspect,
+                                 PairEncoding encoding) {
+  DetectScratch scratch;
+  const std::vector<PairObservation>& observations =
+      ReadPairs(plan, originals, suspect, scratch);
+  const Weight threshold = encoding == PairEncoding::kOnOff ? 1 : 0;
+  BitVec mark(observations.size());
+  for (size_t i = 0; i < observations.size(); ++i) {
+    if (observations[i].erased) {
+      return Status::DetectionFailed(
+          "a pair element is missing from its witness answer (structure tampered)");
+    }
+    mark.Set(i, observations[i].delta >= threshold);
+  }
+  return mark;
+}
 
 PairMarking::PairMarking(const QueryIndex& index, std::vector<WeightPair> pairs)
     : index_(&index), pairs_(std::move(pairs)) {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <optional>
-#include <unordered_map>
 
 #include "qpwm/tree/query.h"
 #include "qpwm/util/check.h"
@@ -58,7 +57,6 @@ Result<TreeScheme> TreeScheme::Plan(const BinaryTree& t,
   }
 
   TreeScheme scheme;
-  scheme.t_ = &t;
   scheme.options_ = options;
 
   // One step table per automaton run below, built once and shared by every
@@ -153,36 +151,17 @@ Result<TreeScheme> TreeScheme::Plan(const BinaryTree& t,
       break;
     }
   }
-  scheme.BuildWitnessPlan();
+  // Both nodes of a pair are read through its witness, keyed by node id. A
+  // witness is the empty parameter or one node, which also names it.
+  std::vector<SlotRead> slots;
+  slots.reserve(2 * scheme.pairs_.size());
+  for (const DetectablePair& pair : scheme.pairs_) {
+    const uint32_t witness_id = pair.witness.empty() ? 0 : pair.witness[0];
+    slots.push_back({&pair.witness, witness_id, pair.b_plus});
+    slots.push_back({&pair.witness, witness_id, pair.b_minus});
+  }
+  scheme.witness_plan_ = MakeWitnessPlan(slots, nullptr, t.size());
   return scheme;
-}
-
-void TreeScheme::BuildWitnessPlan() {
-  // Group the 2 * |pairs| node reads by their witness parameter, in
-  // first-use order — hoisted to plan time (the grouping depends only on
-  // the pairs, never on the suspect).
-  witness_plan_ = WitnessPlan();
-  std::unordered_map<Tuple, uint32_t, TupleHash> slot_of_witness;
-  std::vector<std::vector<std::pair<uint32_t, NodeId>>> reads;
-  for (size_t i = 0; i < pairs_.size(); ++i) {
-    const DetectablePair& pair = pairs_[i];
-    auto [it, inserted] = slot_of_witness.emplace(
-        pair.witness, static_cast<uint32_t>(witness_plan_.params.size()));
-    if (inserted) {
-      witness_plan_.params.push_back(pair.witness);
-      reads.emplace_back();
-    }
-    reads[it->second].push_back({static_cast<uint32_t>(2 * i), pair.b_plus});
-    reads[it->second].push_back({static_cast<uint32_t>(2 * i + 1), pair.b_minus});
-  }
-  witness_plan_.read_offsets.reserve(reads.size() + 1);
-  witness_plan_.read_offsets.push_back(0);
-  for (const auto& slot_reads : reads) {
-    witness_plan_.reads.insert(witness_plan_.reads.end(), slot_reads.begin(),
-                               slot_reads.end());
-    witness_plan_.read_offsets.push_back(
-        static_cast<uint32_t>(witness_plan_.reads.size()));
-  }
 }
 
 WeightMap TreeScheme::Embed(const WeightMap& original, const BitVec& mark) const {
@@ -205,137 +184,20 @@ void TreeScheme::ApplyMark(const BitVec& mark, WeightMap& weights,
   }
 }
 
-TreeScheme::DetectContext TreeScheme::MakeDetectContext(
-    const WeightMap& original, const DetectOptions& options) const {
-  DetectContext ctx;
-  ctx.original = &original;
-  ctx.options = options;
-  return ctx;
-}
-
-const std::vector<PairObservation>& TreeScheme::ObservePairsInto(
-    const DetectContext& ctx, const AnswerServer& suspect,
-    DetectScratch& sc) const {
-  const WeightMap& original = *ctx.original;
-  sc.observations.clear();
-  sc.observations.reserve(pairs_.size());
-
-  if (!ctx.options.batch_answers) {
-    // Unbatched path: one Answer() round trip per pair, linear row scan.
-    // The scan overwrites on every match, so the *last* row per node wins.
-    for (const DetectablePair& pair : pairs_) {
-      Weight w_plus = 0, w_minus = 0;
-      bool saw_plus = false, saw_minus = false;
-      AnswerSet answers = suspect.Answer(pair.witness);
-      for (const AnswerRow& row : answers) {
-        if (row.element.size() == 1 && row.element[0] == pair.b_plus) {
-          w_plus = row.weight;
-          saw_plus = true;
-        }
-        if (row.element.size() == 1 && row.element[0] == pair.b_minus) {
-          w_minus = row.weight;
-          saw_minus = true;
-        }
-      }
-      PairObservation obs;
-      if (!saw_plus || !saw_minus) {
-        obs.erased = true;
-      } else {
-        Weight d_plus = w_plus - original.GetElem(pair.b_plus);
-        Weight d_minus = w_minus - original.GetElem(pair.b_minus);
-        obs.delta = d_plus - d_minus;
-      }
-      sc.observations.push_back(obs);
-    }
-    return sc.observations;
+std::vector<Weight> TreeScheme::SlotWeights(const WeightMap& weights) const {
+  std::vector<Weight> out;
+  out.reserve(2 * pairs_.size());
+  for (const DetectablePair& pair : pairs_) {
+    out.push_back(weights.GetElem(pair.b_plus));
+    out.push_back(weights.GetElem(pair.b_minus));
   }
-
-  // Batched path: answer each distinct witness of the precomputed plan once
-  // (pairs frequently share witnesses — the root answers for every region it
-  // covers, one columnar AnswerAllFlat round trip in all) and resolve the
-  // unary rows through an epoch-stamped flat table keyed by node id — no
-  // per-row allocation. Plain assignment keeps the *last* row per node,
-  // matching the unbatched scan above.
-  const size_t num_pairs = pairs_.size();
-  sc.read_weight.assign(2 * num_pairs, 0);
-  sc.read_found.assign(2 * num_pairs, 0);
-  AnswerAllFlat(suspect, witness_plan_.params, sc.answers);
-
-  if (sc.stamp.size() != t_->size()) {
-    sc.stamp.assign(t_->size(), 0);
-    sc.row_weight.assign(t_->size(), 0);
-  }
-  for (size_t s = 0; s < witness_plan_.params.size(); ++s) {
-    const uint64_t epoch = ++sc.epoch;
-    for (uint32_t r = sc.answers.param_offsets[s];
-         r < sc.answers.param_offsets[s + 1]; ++r) {
-      // Rows beyond the tree (inserted fresh nodes) can never match a pair
-      // node.
-      const uint32_t eb = sc.answers.elem_offsets[r];
-      if (sc.answers.elem_offsets[r + 1] - eb != 1) continue;
-      const ElemId node = sc.answers.elems[eb];
-      if (node >= t_->size()) continue;
-      sc.row_weight[node] = sc.answers.weights[r];
-      sc.stamp[node] = epoch;
-    }
-    for (uint32_t i = witness_plan_.read_offsets[s];
-         i < witness_plan_.read_offsets[s + 1]; ++i) {
-      const auto& [slot, node] = witness_plan_.reads[i];
-      if (sc.stamp[node] == epoch) {
-        sc.read_weight[slot] = sc.row_weight[node];
-        sc.read_found[slot] = 1;
-      }
-    }
-  }
-
-  for (size_t i = 0; i < num_pairs; ++i) {
-    const DetectablePair& pair = pairs_[i];
-    PairObservation obs;
-    if (!sc.read_found[2 * i] || !sc.read_found[2 * i + 1]) {
-      obs.erased = true;
-    } else {
-      Weight d_plus = sc.read_weight[2 * i] - original.GetElem(pair.b_plus);
-      Weight d_minus = sc.read_weight[2 * i + 1] - original.GetElem(pair.b_minus);
-      obs.delta = d_plus - d_minus;
-    }
-    sc.observations.push_back(obs);
-  }
-  return sc.observations;
-}
-
-std::vector<PairObservation> TreeScheme::ObservePairs(
-    const WeightMap& original, const AnswerServer& suspect,
-    const DetectOptions& options) const {
-  const DetectContext ctx = MakeDetectContext(original, options);
-  DetectScratch scratch;
-  return ObservePairsInto(ctx, suspect, scratch);
-}
-
-Result<std::vector<Weight>> TreeScheme::PairDeltas(const WeightMap& original,
-                                                   const AnswerServer& suspect) const {
-  std::vector<PairObservation> observations = ObservePairs(original, suspect);
-  std::vector<Weight> deltas;
-  deltas.reserve(observations.size());
-  for (const PairObservation& obs : observations) {
-    if (obs.erased) {
-      return Status::DetectionFailed(
-          "witness answer is missing a pair node (structure tampered)");
-    }
-    deltas.push_back(obs.delta);
-  }
-  return deltas;
+  return out;
 }
 
 Result<BitVec> TreeScheme::Detect(const WeightMap& original,
                                   const AnswerServer& suspect) const {
-  auto deltas = PairDeltas(original, suspect);
-  if (!deltas.ok()) return deltas.status();
-  BitVec mark(pairs_.size());
-  const Weight threshold = options_.encoding == PairEncoding::kOnOff ? 1 : 0;
-  for (size_t i = 0; i < deltas.value().size(); ++i) {
-    mark.Set(i, deltas.value()[i] >= threshold);
-  }
-  return mark;
+  return DecodePairsStrict(witness_plan_, SlotWeights(original), suspect,
+                           options_.encoding);
 }
 
 }  // namespace qpwm

@@ -61,8 +61,6 @@ class HonestTreeServer : public BatchAnswerServer {
   void AnswerAllFlat(const std::vector<Tuple>& params,
                      FlatAnswerBatch& out) const override;
 
-  WeightMap& mutable_weights() { return weights_; }
-
  private:
   /// W_a for `params`; empty for a wrong-arity or out-of-tree parameter.
   std::vector<NodeId> Evaluate(const Tuple& params) const;
@@ -79,9 +77,8 @@ class HonestTreeServer : public BatchAnswerServer {
 class TreeScheme {
  public:
   /// `dta` track convention: track 0 = parameter (if param_arity == 1), next
-  /// track = result node. Every label must be below `base_count`. The tree
-  /// is captured by reference and must outlive the scheme; the labels and
-  /// the automaton are only read during Plan.
+  /// track = result node. Every label must be below `base_count`. The tree,
+  /// the labels and the automaton are only read during Plan.
   [[nodiscard]] static Result<TreeScheme> Plan(const BinaryTree& t,
                                  const std::vector<uint32_t>& labels,
                                  uint32_t base_count, const Dta& dta,
@@ -106,72 +103,38 @@ class TreeScheme {
   void ApplyMark(const BitVec& mark, WeightMap& weights, PairEncoding encoding) const;
 
   /// Detector (non-adversarial): recovers the mark from suspect answers.
+  /// Strict: a pair node missing from its witness answer fails the whole
+  /// read with kDetectionFailed.
   [[nodiscard]] Result<BitVec> Detect(const WeightMap& original, const AnswerServer& suspect) const;
 
-  /// Per-pair deltas, strict: a pair node missing from its witness answer
-  /// fails the whole read with kDetectionFailed.
-  [[nodiscard]] Result<std::vector<Weight>> PairDeltas(const WeightMap& original,
-                                         const AnswerServer& suspect) const;
-
-  /// Erasure-aware per-pair reading: a pair node missing from its witness
-  /// answer (dropped subtree, shipped fragment) is flagged `erased` instead
-  /// of failing; the adversarial wrapper abstains on such votes.
-  ///
-  /// With `options.batch_answers` every distinct witness parameter is
-  /// answered once (one AnswerAll round trip) and shared across the pairs
-  /// that read through it; observations are bit-identical either way.
-  /// (`options.dense_views` is a no-op here: tree weights are unary, already
-  /// dense storage.)
-  std::vector<PairObservation> ObservePairs(const WeightMap& original,
-                                            const AnswerServer& suspect,
-                                            const DetectOptions& options = {}) const;
-
-  /// Per-run read state shared across every suspect of a detection run.
-  /// (Tree weights are unary and already dense, so unlike the local scheme
-  /// there is no view to hoist — the context just pins the inputs.)
-  struct DetectContext {
-    const WeightMap* original = nullptr;
-    DetectOptions options;
-  };
-  DetectContext MakeDetectContext(const WeightMap& original,
-                                  const DetectOptions& options) const;
-
-  /// ObservePairs against reusable buffers: fills and returns
-  /// scratch.observations (valid until the next call on that scratch).
-  /// Allocation-free once the scratch is warm; observations are bit-identical
-  /// to ObservePairs for every options combination.
-  const std::vector<PairObservation>& ObservePairsInto(
-      const DetectContext& ctx, const AnswerServer& suspect,
-      DetectScratch& scratch) const;
-
- private:
+  /// One hidden bit's pair: the node a set bit moves up, the node it moves
+  /// down, and the witness parameter outside the pair's region whose answer
+  /// contains both — the detector reads the pair through that witness.
   struct DetectablePair {
     NodeId b_plus;
     NodeId b_minus;
-    Tuple witness;  // parameter whose answers contain both pair nodes
+    Tuple witness;
   };
+  /// The pairs, one per hidden bit, in bit order.
+  const std::vector<DetectablePair>& pairs() const { return pairs_; }
 
-  /// Witness reads grouped at plan time (see LocalScheme::WitnessPlan): the
-  /// distinct witness parameters in first-use order and per witness the
-  /// (read slot, node) resolutions, flattened CSR-style. Slot 2i reads pair
-  /// i's b_plus, slot 2i+1 its b_minus.
-  struct WitnessPlan {
-    // qpwm-lint: allow(legacy-tuple-vector) — witness params interned once at Plan time
-    std::vector<Tuple> params;
-    std::vector<uint32_t> read_offsets;
-    std::vector<std::pair<uint32_t, NodeId>> reads;
-  };
-  void BuildWitnessPlan();
+  /// The pair reads (see WitnessPlan), keyed by node id.
+  const WitnessPlan& witness_plan() const { return witness_plan_; }
 
+  /// The weight under `weights` of every read slot's node, in slot order
+  /// (2 per pair) — the reference ReadPairs subtracts.
+  std::vector<Weight> SlotWeights(const WeightMap& weights) const;
+
+ private:
   TreeScheme() = default;
 
-  const BinaryTree* t_ = nullptr;
   TreeSchemeOptions options_;
   std::vector<MarkRegion> regions_;
   DecompositionStats stats_;
   std::vector<DetectablePair> pairs_;
-  // Read slots index into pairs_'s witness layout; valid only while pairs_
-  // (declared above, same object) is alive and unmodified after Plan().
+  // Built from pairs_ at the end of Plan(); read slots index into pairs_'s
+  // layout, so the plan is valid only while pairs_ (declared above, same
+  // object) is alive and unmodified.
   WitnessPlan witness_plan_ QPWM_VIEW_OF(pairs_);
 };
 

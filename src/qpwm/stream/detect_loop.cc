@@ -24,7 +24,7 @@ std::optional<DetectOutcome> EpochDetector::Tick(const StreamSnapshot& snap) {
   const FaultPlan plan = MakeFaultPlan(seed_, attempt_counter_++, options_.faults);
   FaultyAnswerServer faulty(*snap.serving, plan);
   Result<CodedDetection> detection =
-      coded_->Detect(snap.original, faulty, DetectOptions{});
+      coded_->Detect(snap.original, faulty);
   ++attempts_in_pass_;
   ticks_in_pass_ += faulty.ticks();
 
@@ -63,7 +63,7 @@ std::optional<DetectOutcome> EpochDetector::Tick(const StreamSnapshot& snap) {
 DetectOutcome EpochDetector::Audit(const StreamSnapshot& snap) const {
   FaultyAnswerServer clean(*snap.serving, FaultPlan{});
   Result<CodedDetection> detection =
-      coded_->Detect(snap.original, clean, DetectOptions{});
+      coded_->Detect(snap.original, clean);
   QPWM_CHECK(detection.ok());
   return Judge(detection.value(), snap.epoch, /*attempts=*/1, clean.ticks());
 }

@@ -11,13 +11,13 @@ StreamServer::StreamServer(const LocalScheme& scheme, WeightMap original,
                            WeightMap marked)
     : scheme_(&scheme),
       domain_(scheme.index().domain()),
-      original_(std::move(original)) {
+      original_(std::move(original)),
+      marked_(std::move(marked)) {
   // Own a copy of the deployment structure and rebuild the index against it,
   // so structural epochs can swap both without touching the scheme's
   // planning-time instance.
   structure_ = std::make_shared<const Structure>(scheme.index().structure());
   index_ = BuildIndex(structure_);
-  live_ = std::make_unique<HonestServer>(*index_, std::move(marked));
   Publish();  // epoch 0
 }
 
@@ -51,7 +51,7 @@ Status StreamServer::SubmitImpl(const Update& u) {
         // the same delta, so every pair keeps its mark distortion.
         original_.AddElem(u.elem, u.delta);
       }
-      live_->mutable_weights().AddElem(u.elem, u.delta);
+      marked_.AddElem(u.elem, u.delta);
       Apply(u);
       return Status::OK();
     }
@@ -130,11 +130,6 @@ std::shared_ptr<const StreamSnapshot> StreamServer::SealEpoch() {
         Apply(u);
       }
     }
-    // The live server's index pointer must track the committed structure.
-    live_ = std::make_unique<HonestServer>(*index_, live_->weights());
-  } else if (!live_->has_dense_view()) {
-    // Weight-only epoch: restore the dense fast path after mutations.
-    live_->RefreshView();
   }
 
   ++epoch_;
@@ -144,8 +139,7 @@ std::shared_ptr<const StreamSnapshot> StreamServer::SealEpoch() {
 }
 
 void StreamServer::Publish() {
-  auto serving = std::make_shared<const ServingSnapshot>(
-      *index_, live_->weights(), epoch_);
+  auto serving = std::make_shared<const ServingSnapshot>(*index_, marked_, epoch_);
   auto snap = std::make_shared<const StreamSnapshot>(
       epoch_, structure_, index_, original_, std::move(serving));
   if (published_) published_->Retire();

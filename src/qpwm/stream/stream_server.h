@@ -1,8 +1,8 @@
 // The long-running watermarked server under an update stream.
 //
 // The server owns the live state — an evolving structure, the owner's
-// original weights, and an HonestServer serving the marked copy — and admits
-// or quarantines every submitted update:
+// original weights and the served marked copy — and admits or quarantines
+// every submitted update:
 //
 //   * weight kinds apply immediately (a refresh moves original and marked
 //     together, Theorem 7; an in-range write only moves the served copy —
@@ -120,9 +120,8 @@ class StreamServer {
   const Structure& structure() const { return *structure_; }
   const QueryIndex& index() const { return *index_; }
   const WeightMap& original() const { return original_; }
-  /// The live server over the marked copy. Its version() bumps with every
-  /// weight mutation — the invalidate-on-mutate machinery under soak.
-  const HonestServer& live() const { return *live_; }
+  /// The live marked copy; each sealed epoch serves a frozen copy of it.
+  const WeightMap& marked() const { return marked_; }
   const StreamCounters& counters() const { return counters_; }
   uint64_t epoch() const { return epoch_; }
   size_t staged() const { return pending_.size(); }
@@ -142,7 +141,7 @@ class StreamServer {
   std::shared_ptr<const Structure> structure_;
   std::shared_ptr<const QueryIndex> index_;
   WeightMap original_;
-  std::unique_ptr<HonestServer> live_;
+  WeightMap marked_;
   std::vector<Update> pending_;
   std::shared_ptr<const StreamSnapshot> published_;
   StreamCounters counters_;

@@ -59,8 +59,8 @@ TEST_F(Figure1Test, SumWeightsComputesF) {
 }
 
 TEST_F(Figure1Test, AnswersCarryWeights) {
-  size_t c_param = index_.FindParam(Tuple{2}).ValueOrDie();
-  AnswerSet answers = index_.AnswersFor(c_param, weights_);
+  HonestServer server(index_, weights_);
+  AnswerSet answers = server.Answer(Tuple{2});
   ASSERT_EQ(answers.size(), 1u);
   EXPECT_EQ(answers[0].element, Tuple{3});
   EXPECT_EQ(answers[0].weight, 103);
@@ -159,6 +159,44 @@ TEST_F(Figure1Test, EmptyResultAggregatesToZero) {
   WeightMap w(1, 2);
   EXPECT_EQ(AggregateWeight(index, 0, w, Aggregate::kSum), 0);
   EXPECT_EQ(AggregateWeight(index, 0, w, Aggregate::kMin), 0);
+}
+
+// --- Honest servers under hostile parameters --------------------------------
+
+TEST(HonestServerTest, HostileParamsGetEmptyAnswer) {
+  // A parameter of the wrong arity, or naming an element outside the
+  // universe, cannot be evaluated: both relational servers answer it with no
+  // rows, through Answer and through AnswerAllFlat, instead of aborting.
+  Rng rng(4);
+  const Structure g = RandomBoundedDegreeGraph(40, 3, 80, false, rng);
+  DistanceQuery query(1);
+  // Half the domain, so hostile parameters miss the index and reach direct
+  // evaluation.
+  std::vector<Tuple> domain = AllParams(g, 1);
+  domain.resize(domain.size() / 2);
+  const QueryIndex index(g, query, domain);
+  const WeightMap weights = RandomWeights(g, 1, 9, rng);
+  const HonestServer honest(index, weights);
+  const ServingSnapshot snapshot(index, weights, 3);
+  const Tuple valid{static_cast<ElemId>(g.universe_size() - 1)};
+  const std::vector<Tuple> hostile = {
+      Tuple{}, Tuple{1, 2}, Tuple{static_cast<ElemId>(g.universe_size())},
+      Tuple{0xFFFFFFF0u}};
+  for (const HonestServer* server : {&honest, static_cast<const HonestServer*>(&snapshot)}) {
+    ASSERT_FALSE(server->Answer(valid).empty());
+    for (const Tuple& p : hostile) {
+      EXPECT_TRUE(server->Answer(p).empty()) << p.size();
+    }
+    std::vector<Tuple> batch = hostile;
+    batch.push_back(valid);
+    FlatAnswerBatch flat;
+    server->AnswerAllFlat(batch, flat);
+    ASSERT_EQ(flat.num_params(), batch.size());
+    for (size_t i = 0; i < hostile.size(); ++i) {
+      EXPECT_EQ(flat.param_offsets[i + 1], flat.param_offsets[i]) << i;
+    }
+    EXPECT_EQ(flat.num_rows(), server->Answer(valid).size());
+  }
 }
 
 // --- Attacks -----------------------------------------------------------------

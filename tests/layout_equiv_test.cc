@@ -1,9 +1,9 @@
 // Layout-equivalence suite for the flat-memory (CSR) storage layer: every
 // hot-path rewrite — flat tuple storage, CSR incidence/adjacency, arena
 // neighborhood extraction, pooled detection scratch — must be a pure layout
-// change. These tests pin the observable behavior to naive references and to
-// the legacy (allocating) code paths, on grid, random bounded-degree, and
-// XML-encoded instances, across thread counts {1, 2, 8}.
+// change. These tests pin the observable behavior to naive references, on
+// grid, random bounded-degree, and XML-encoded instances, across thread
+// counts {1, 2, 8}.
 //
 // The across-thread tests double as the TSan coverage for scratch-arena
 // reuse: TypeAll and DetectMany hand pooled scratch (NeighborhoodScratch,
@@ -11,11 +11,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <set>
 #include <vector>
 
 #include "qpwm/core/adversarial.h"
 #include "qpwm/core/answers.h"
+#include "qpwm/core/attack.h"
 #include "qpwm/core/local_scheme.h"
 #include "qpwm/core/tree_scheme.h"
 #include "qpwm/logic/query.h"
@@ -30,6 +32,7 @@
 #include "qpwm/util/random.h"
 #include "qpwm/xml/encode.h"
 #include "qpwm/xml/xpath.h"
+#include "reference_observe.h"
 
 namespace qpwm {
 namespace {
@@ -265,14 +268,12 @@ TEST(LayoutEquivTest, PlansIdenticalAcrossCacheAndThreads) {
   opts.rho = 2;
   opts.epsilon = 0.5;
   opts.key = {23, 24};
+  // Reference: one thread, cold cache. Each thread count plans once from a
+  // cold cache and once warm (the cache the cold plan just filled).
   SetParallelThreads(1);
-  LocalSchemeOptions uncached = opts;
-  uncached.canon_cache = false;
-  const LocalScheme reference = LocalScheme::Plan(index, uncached).ValueOrDie();
-  for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
-    SetParallelThreads(threads);
-    CanonCache::Global().Clear();
-    const LocalScheme plan = LocalScheme::Plan(index, opts).ValueOrDie();
+  CanonCache::Global().Clear();
+  const LocalScheme reference = LocalScheme::Plan(index, opts).ValueOrDie();
+  auto expect_same = [&reference](const LocalScheme& plan) {
     EXPECT_EQ(plan.CapacityBits(), reference.CapacityBits());
     EXPECT_EQ(plan.DistortionBound(), reference.DistortionBound());
     EXPECT_EQ(plan.NumTypes(), reference.NumTypes());
@@ -284,10 +285,49 @@ TEST(LayoutEquivTest, PlansIdenticalAcrossCacheAndThreads) {
       EXPECT_EQ(pa[i].plus, pb[i].plus);
       EXPECT_EQ(pa[i].minus, pb[i].minus);
     }
+  };
+  for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
+    SetParallelThreads(threads);
+    CanonCache::Global().Clear();
+    expect_same(LocalScheme::Plan(index, opts).ValueOrDie());
+    expect_same(LocalScheme::Plan(index, opts).ValueOrDie());
   }
 }
 
-// --- Detection: legacy ObservePairs vs scratch reuse vs DetectMany -----------
+// --- Detection: reference reader vs scratch reuse vs DetectMany -------------
+
+// One pooled scratch read across every suspect must match the reference
+// reader (tests/reference_observe.h) suspect by suspect: the epoch logic has
+// to isolate runs without any clearing. DetectMany at every thread count
+// must match the serial Detect loop.
+template <typename Scheme>
+void ExpectReaderMatchesReference(const Scheme& scheme,
+                                  const AdversarialScheme& adv,
+                                  const WeightMap& original,
+                                  const std::vector<const AnswerServer*>& suspects) {
+  const std::vector<Weight> originals = scheme.SlotWeights(original);
+  DetectScratch scratch;
+  for (size_t s = 0; s < suspects.size(); ++s) {
+    EXPECT_TRUE(SameObservations(
+        ReferenceObservePairs(scheme, original, *suspects[s]),
+        ReadPairs(scheme.witness_plan(), originals, *suspects[s], scratch)))
+        << "suspect " << s;
+  }
+
+  std::vector<AdversarialDetection> reference;
+  for (const AnswerServer* s : suspects) {
+    reference.push_back(adv.Detect(original, *s).ValueOrDie());
+  }
+  for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
+    SetParallelThreads(threads);
+    const std::vector<AdversarialDetection> out = adv.DetectMany(original, suspects);
+    ASSERT_EQ(out.size(), reference.size());
+    for (size_t s = 0; s < out.size(); ++s) {
+      EXPECT_TRUE(SameDetection(reference[s], out[s]))
+          << "suspect " << s << " at " << threads << " threads";
+    }
+  }
+}
 
 TEST(LayoutEquivTest, DetectionBitIdenticalAcrossPathsAndThreads) {
   ThreadGuard guard;
@@ -305,6 +345,8 @@ TEST(LayoutEquivTest, DetectionBitIdenticalAcrossPathsAndThreads) {
   const AdversarialScheme adv(scheme, 3);
   ASSERT_GT(adv.CapacityBits(), 0u);
 
+  // Clean marked copies, then one under 30% deletion plus insertion and one
+  // carrying a duplicated row for a pair element on its own witness.
   std::vector<std::unique_ptr<HonestServer>> servers;
   std::vector<const AnswerServer*> ptrs;
   for (size_t s = 0; s < 5; ++s) {
@@ -315,40 +357,18 @@ TEST(LayoutEquivTest, DetectionBitIdenticalAcrossPathsAndThreads) {
         std::make_unique<HonestServer>(index, adv.Embed(weights, msg)));
     ptrs.push_back(servers.back().get());
   }
+  TamperedAnswerServer attacked(*servers[0]);
+  for (const Tuple& t : SubsetDeletionAttack(index, 0.3, rng)) attacked.Erase(t);
+  TupleInsertionAttack(attacked, index, servers[0]->weights(),
+                       index.num_active() / 4, rng);
+  ptrs.push_back(&attacked);
+  const uint32_t plus = scheme.marking().pairs()[0].plus;
+  TamperedAnswerServer duplicated(*servers[1]);
+  duplicated.InsertAt(index.param(index.ParamsContaining(plus)[0]),
+                      {index.active_element(plus), 7});
+  ptrs.push_back(&duplicated);
 
-  // Every DetectOptions combination, legacy allocating path vs one
-  // DetectScratch reused across all suspects and combinations (the epoch
-  // logic must isolate runs without any clearing).
-  DetectScratch scratch;
-  for (const bool batch : {false, true}) {
-    for (const bool dense : {false, true}) {
-      DetectOptions d;
-      d.batch_answers = batch;
-      d.dense_views = dense;
-      const LocalScheme::DetectContext ctx = scheme.MakeDetectContext(weights, d);
-      for (const AnswerServer* s : ptrs) {
-        const std::vector<PairObservation> legacy =
-            scheme.ObservePairs(weights, *s, d);
-        EXPECT_TRUE(
-            SameObservations(legacy, scheme.ObservePairsInto(ctx, *s, scratch)))
-            << "batch=" << batch << " dense=" << dense;
-      }
-    }
-  }
-
-  // DetectMany at every thread count == the serial Detect loop.
-  std::vector<AdversarialDetection> reference;
-  for (const AnswerServer* s : ptrs) {
-    reference.push_back(adv.Detect(weights, *s).ValueOrDie());
-  }
-  for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
-    SetParallelThreads(threads);
-    const std::vector<AdversarialDetection> out = adv.DetectMany(weights, ptrs);
-    ASSERT_EQ(out.size(), reference.size());
-    for (size_t s = 0; s < out.size(); ++s) {
-      EXPECT_TRUE(SameDetection(reference[s], out[s])) << "suspect " << s;
-    }
-  }
+  ExpectReaderMatchesReference(scheme, adv, weights, ptrs);
 }
 
 TEST(LayoutEquivTest, XmlTreeDetectionBitIdenticalAcrossPathsAndThreads) {
@@ -380,35 +400,21 @@ TEST(LayoutEquivTest, XmlTreeDetectionBitIdenticalAcrossPathsAndThreads) {
         adv.Embed(enc.weights, msg)));
     ptrs.push_back(servers.back().get());
   }
+  TamperedAnswerServer attacked(*servers[0]);
+  for (NodeId v = 0; v < enc.tree.size(); ++v) {
+    if (rng.Bernoulli(0.3)) attacked.Erase(Tuple{v});
+  }
+  for (const TreeScheme::DetectablePair& pair : scheme.pairs()) {
+    attacked.InsertAt(pair.witness,
+                      {Tuple{static_cast<ElemId>(enc.tree.size() + 3)}, 5});
+  }
+  ptrs.push_back(&attacked);
+  TamperedAnswerServer duplicated(*servers[1]);
+  duplicated.InsertAt(scheme.pairs()[0].witness,
+                      {Tuple{scheme.pairs()[0].b_minus}, 7});
+  ptrs.push_back(&duplicated);
 
-  DetectScratch scratch;
-  for (const bool batch : {false, true}) {
-    DetectOptions d;
-    d.batch_answers = batch;
-    const TreeScheme::DetectContext ctx =
-        scheme.MakeDetectContext(enc.weights, d);
-    for (const AnswerServer* s : ptrs) {
-      const std::vector<PairObservation> legacy =
-          scheme.ObservePairs(enc.weights, *s, d);
-      EXPECT_TRUE(
-          SameObservations(legacy, scheme.ObservePairsInto(ctx, *s, scratch)))
-          << "batch=" << batch;
-    }
-  }
-
-  std::vector<AdversarialDetection> reference;
-  for (const AnswerServer* s : ptrs) {
-    reference.push_back(adv.Detect(enc.weights, *s).ValueOrDie());
-  }
-  for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
-    SetParallelThreads(threads);
-    const std::vector<AdversarialDetection> out =
-        adv.DetectMany(enc.weights, ptrs);
-    ASSERT_EQ(out.size(), reference.size());
-    for (size_t s = 0; s < out.size(); ++s) {
-      EXPECT_TRUE(SameDetection(reference[s], out[s])) << "suspect " << s;
-    }
-  }
+  ExpectReaderMatchesReference(scheme, adv, enc.weights, ptrs);
 }
 
 // --- CanonCache: fingerprint fast path and stats -----------------------------

@@ -176,24 +176,24 @@ TEST(ParallelPlanTest, LocalSchemeIdenticalAcrossThreadsAndCache) {
   opts.epsilon = 0.5;
   opts.key = {42, 99};
 
+  // Reference: one thread, planned from a cold canonical-form cache.
   SetParallelThreads(1);
-  LocalSchemeOptions uncached = opts;
-  uncached.canon_cache = false;
+  CanonCache::Global().Clear();
   const PlanSnapshot reference =
-      PlanSnapshot::Of(LocalScheme::Plan(index, uncached).ValueOrDie());
+      PlanSnapshot::Of(LocalScheme::Plan(index, opts).ValueOrDie());
   ASSERT_GT(reference.bits, 0u);
 
   for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
     SetParallelThreads(threads);
     CanonCache::Global().Clear();
-    const PlanSnapshot cached =
+    const PlanSnapshot cold =
         PlanSnapshot::Of(LocalScheme::Plan(index, opts).ValueOrDie());
-    EXPECT_TRUE(reference == cached) << "cached plan differs at " << threads
-                                     << " threads";
-    const PlanSnapshot uncached_t =
-        PlanSnapshot::Of(LocalScheme::Plan(index, uncached).ValueOrDie());
-    EXPECT_TRUE(reference == uncached_t) << "uncached plan differs at " << threads
-                                         << " threads";
+    EXPECT_TRUE(reference == cold) << "cold-cache plan differs at " << threads
+                                   << " threads";
+    const PlanSnapshot warm =
+        PlanSnapshot::Of(LocalScheme::Plan(index, opts).ValueOrDie());
+    EXPECT_TRUE(reference == warm) << "warm-cache plan differs at " << threads
+                                   << " threads";
   }
 }
 

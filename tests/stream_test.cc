@@ -154,7 +154,7 @@ TEST(StreamServerTest, SubmitStatusTaxonomy) {
   const Weight before = server.original().GetElem(0);
   EXPECT_TRUE(server.Submit(WeightRefreshUpdate(0, +3)).ok());
   EXPECT_EQ(server.original().GetElem(0), before + 3);
-  EXPECT_EQ(server.live().weights().GetElem(0), before + 3);
+  EXPECT_EQ(server.marked().GetElem(0), before + 3);
 
   // Malformed shape: wrong arity -> kInvalidArgument at submission.
   EXPECT_EQ(server

@@ -305,21 +305,6 @@ TEST_F(TreeSchemeTest, OutOfTreeParamGetsEmptyAnswer) {
 
 // --- Pinned plans -------------------------------------------------------------
 
-/// Answers like `base` and records every parameter it is asked for.
-class RecordingServer : public AnswerServer {
- public:
-  explicit RecordingServer(const AnswerServer& base) : base_(&base) {}
-  AnswerSet Answer(const Tuple& params) const override {
-    asked.push_back(params);
-    return base_->Answer(params);
-  }
-  // qpwm-lint: allow(legacy-tuple-vector) — recorded witness parameters
-  mutable std::vector<Tuple> asked;
-
- private:
-  const AnswerServer* base_;
-};
-
 /// FNV-1a digest of everything a plan decides: its regions (root, holes,
 /// nodes, pair), the decomposition stats, and per hidden bit the pair it
 /// moves and the witness parameter the detector reads it through. Also
@@ -329,8 +314,7 @@ struct PlanRecord {
   size_t distinct_witnesses = 0;
 };
 
-PlanRecord RecordPlan(const TreeScheme& scheme, const BinaryTree& t, const Dta& dta,
-                      uint32_t param_arity) {
+PlanRecord RecordPlan(const TreeScheme& scheme, const BinaryTree& t) {
   uint64_t h = 1469598103934665603ull;
   auto mix = [&h](uint64_t x) {
     for (int i = 0; i < 8; ++i) {
@@ -365,20 +349,19 @@ PlanRecord RecordPlan(const TreeScheme& scheme, const BinaryTree& t, const Dta& 
       }
     }
   }
-  // Witnesses, in pair order: unbatched reads ask one parameter per pair.
-  HonestTreeServer honest(t, t.labels(), 3, dta, param_arity, zero);
-  RecordingServer recorder(honest);
-  DetectOptions unbatched;
-  unbatched.batch_answers = false;
-  (void)scheme.ObservePairs(zero, recorder, unbatched);
-  EXPECT_EQ(recorder.asked.size(), scheme.CapacityBits());
-  for (const Tuple& w : recorder.asked) {
+  // Witnesses, in pair order.
+  std::vector<Tuple> witnesses;
+  for (const TreeScheme::DetectablePair& pair : scheme.pairs()) {
+    witnesses.push_back(pair.witness);
+  }
+  EXPECT_EQ(witnesses.size(), scheme.CapacityBits());
+  for (const Tuple& w : witnesses) {
     mix(w.size());
     for (ElemId e : w) mix(e);
   }
-  std::sort(recorder.asked.begin(), recorder.asked.end());
-  const auto distinct = std::unique(recorder.asked.begin(), recorder.asked.end());
-  return {h, static_cast<size_t>(distinct - recorder.asked.begin())};
+  std::sort(witnesses.begin(), witnesses.end());
+  const auto distinct = std::unique(witnesses.begin(), witnesses.end());
+  return {h, static_cast<size_t>(distinct - witnesses.begin())};
 }
 
 // The digests were recorded from the hashed-step planner; the step-table
@@ -388,7 +371,7 @@ TEST_F(TreeSchemeTest, PlansPinnedAtSeed) {
   BinaryTree t = RandomBinaryTree(3000, 3, rng);
   auto scheme = TreeScheme::Plan(t, t.labels(), 3, query_, 1, Options()).ValueOrDie();
   ASSERT_GT(scheme.CapacityBits(), 100u);
-  EXPECT_EQ(RecordPlan(scheme, t, query_, 1).digest, 10167811105156910903ull);
+  EXPECT_EQ(RecordPlan(scheme, t).digest, 10167811105156910903ull);
 
   // b in the left subtree of a: with the root as the only pooled witness,
   // the right subtree's pairs need the exact reverse run.
@@ -400,7 +383,7 @@ TEST_F(TreeSchemeTest, PlansPinnedAtSeed) {
   root_only.witness_attempts = 1;
   auto reverse = TreeScheme::Plan(t, t.labels(), 3, left_b, 1, root_only).ValueOrDie();
   ASSERT_GT(reverse.CapacityBits(), 100u);
-  const PlanRecord reverse_record = RecordPlan(reverse, t, left_b, 1);
+  const PlanRecord reverse_record = RecordPlan(reverse, t);
   EXPECT_GT(reverse_record.distinct_witnesses, 1u);
   EXPECT_EQ(reverse_record.digest, 7742318476967105840ull);
 
@@ -409,7 +392,7 @@ TEST_F(TreeSchemeTest, PlansPinnedAtSeed) {
                     .dta;
   auto unary = TreeScheme::Plan(t, t.labels(), 3, inner_b, 0, Options()).ValueOrDie();
   ASSERT_GT(unary.CapacityBits(), 100u);
-  EXPECT_EQ(RecordPlan(unary, t, inner_b, 0).digest, 816875832107636256ull);
+  EXPECT_EQ(RecordPlan(unary, t).digest, 816875832107636256ull);
 }
 
 }  // namespace
