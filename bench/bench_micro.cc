@@ -24,11 +24,10 @@ void BM_CanonicalForm(benchmark::State& state) {
   Rng rng(1);
   Structure g = RandomBoundedDegreeGraph(static_cast<size_t>(state.range(0)), 3,
                                          3 * state.range(0), false, rng);
-  GaifmanGraph gg(g);
-  IncidenceIndex idx(g);
+  TupleIncidence inc(g);
   ElemId e = 0;
   for (auto _ : state) {
-    Neighborhood nb = ExtractNeighborhood(g, gg, idx, Tuple{e}, 2);
+    Neighborhood nb = ExtractNeighborhood(inc, Tuple{e}, 2);
     benchmark::DoNotOptimize(CanonicalForm(nb.local, nb.distinguished));
     e = (e + 1) % g.universe_size();
   }
@@ -41,11 +40,10 @@ void BM_CanonCacheKey(benchmark::State& state) {
   Rng rng(1);
   Structure g = RandomBoundedDegreeGraph(static_cast<size_t>(state.range(0)), 3,
                                          3 * state.range(0), false, rng);
-  GaifmanGraph gg(g);
-  IncidenceIndex idx(g);
+  TupleIncidence inc(g);
   ElemId e = 0;
   for (auto _ : state) {
-    Neighborhood nb = ExtractNeighborhood(g, gg, idx, Tuple{e}, 2);
+    Neighborhood nb = ExtractNeighborhood(inc, Tuple{e}, 2);
     benchmark::DoNotOptimize(CanonCacheKey(nb.local, nb.distinguished));
     e = (e + 1) % g.universe_size();
   }
@@ -58,16 +56,15 @@ void BM_CanonicalFormCacheHit(benchmark::State& state) {
   Rng rng(1);
   Structure g = RandomBoundedDegreeGraph(static_cast<size_t>(state.range(0)), 3,
                                          3 * state.range(0), false, rng);
-  GaifmanGraph gg(g);
-  IncidenceIndex idx(g);
+  TupleIncidence inc(g);
   CanonCache cache;
   for (ElemId e = 0; e < g.universe_size(); ++e) {  // prime
-    Neighborhood nb = ExtractNeighborhood(g, gg, idx, Tuple{e}, 2);
+    Neighborhood nb = ExtractNeighborhood(inc, Tuple{e}, 2);
     cache.Canonical(nb.local, nb.distinguished);
   }
   ElemId e = 0;
   for (auto _ : state) {
-    Neighborhood nb = ExtractNeighborhood(g, gg, idx, Tuple{e}, 2);
+    Neighborhood nb = ExtractNeighborhood(inc, Tuple{e}, 2);
     benchmark::DoNotOptimize(cache.Canonical(nb.local, nb.distinguished));
     e = (e + 1) % g.universe_size();
   }
@@ -80,13 +77,12 @@ void BM_CanonicalFormCacheMiss(benchmark::State& state) {
   Rng rng(1);
   Structure g = RandomBoundedDegreeGraph(static_cast<size_t>(state.range(0)), 3,
                                          3 * state.range(0), false, rng);
-  GaifmanGraph gg(g);
-  IncidenceIndex idx(g);
+  TupleIncidence inc(g);
   CanonCache cache;
   ElemId e = 0;
   for (auto _ : state) {
     cache.Clear();
-    Neighborhood nb = ExtractNeighborhood(g, gg, idx, Tuple{e}, 2);
+    Neighborhood nb = ExtractNeighborhood(inc, Tuple{e}, 2);
     benchmark::DoNotOptimize(cache.Canonical(nb.local, nb.distinguished));
     e = (e + 1) % g.universe_size();
   }

@@ -71,7 +71,7 @@ struct SweepPoint {
   size_t ntp = 0;
   double setup_ms = 0;  // Gaifman + incidence CSR build (serial, 1T point)
   size_t structure_bytes = 0;
-  size_t gaifman_bytes = 0;
+  size_t incidence_bytes = 0;
   uint64_t peak_rss_kb = 0;
   CanonCache::Stats cache;  // after the 1-thread run
   std::vector<SweepRun> runs;
@@ -283,7 +283,7 @@ int main(int argc, char** argv) {
         pt.ntp = typer->NumTypes();
         pt.setup_ms = setup;
         pt.structure_bytes = sg.BytesResident();
-        pt.gaifman_bytes = typer->gaifman().BytesResident();
+        pt.incidence_bytes = typer->incidence().BytesResident();
         pt.cache = CanonCache::Global().stats();
       } else {
         pt.identical &= types == reference;
@@ -391,7 +391,7 @@ int main(int argc, char** argv) {
         w.EndArray();
         w.Key("identical_across_threads").Bool(pt.identical);
         w.Key("structure_bytes").UInt(pt.structure_bytes);
-        w.Key("gaifman_bytes").UInt(pt.gaifman_bytes);
+        w.Key("incidence_bytes").UInt(pt.incidence_bytes);
         w.Key("bytes_per_tuple")
             .Double(pt.tuples == 0 ? 0.0
                                    : static_cast<double>(pt.structure_bytes) /

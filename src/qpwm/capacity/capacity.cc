@@ -95,7 +95,8 @@ MarkCountProblem ProblemFromQuery(const QueryIndex& index) {
   out.num_elements = index.num_active();
   out.sets.reserve(index.num_params());
   for (size_t i = 0; i < index.num_params(); ++i) {
-    if (!index.ResultFor(i).empty()) out.sets.push_back(index.ResultFor(i));
+    const std::span<const uint32_t> row = index.ResultFor(i);
+    if (!row.empty()) out.sets.emplace_back(row.begin(), row.end());
   }
   return out;
 }

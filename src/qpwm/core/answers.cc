@@ -7,6 +7,54 @@
 
 namespace qpwm {
 
+size_t QueryIndex::TupleIdTable::Probe(const std::vector<Tuple>& tuples,
+                                       const Tuple& t) const {
+  const size_t mask = slots_.size() - 1;
+  for (size_t slot = TupleHash()(t) & mask;; slot = (slot + 1) & mask) {
+    const uint32_t id = slots_[slot];
+    if (id == kEmpty || tuples[id] == t) return slot;
+  }
+}
+
+void QueryIndex::TupleIdTable::ReserveOneMore(const std::vector<Tuple>& tuples) {
+  if (2 * (size_ + 1) <= slots_.size()) return;
+  std::vector<uint32_t> old = std::move(slots_);
+  slots_.assign(std::max<size_t>(16, 2 * old.size()), kEmpty);
+  for (uint32_t id : old) {
+    if (id != kEmpty) slots_[Probe(tuples, tuples[id])] = id;
+  }
+}
+
+std::optional<uint32_t> QueryIndex::TupleIdTable::Find(
+    const std::vector<Tuple>& tuples, const Tuple& t) const {
+  if (slots_.empty()) return std::nullopt;
+  const uint32_t id = slots_[Probe(tuples, t)];
+  if (id == kEmpty) return std::nullopt;
+  return id;
+}
+
+uint32_t QueryIndex::TupleIdTable::InternExisting(const std::vector<Tuple>& tuples,
+                                                  uint32_t id) {
+  ReserveOneMore(tuples);
+  uint32_t& slot = slots_[Probe(tuples, tuples[id])];
+  if (slot == kEmpty) {
+    slot = id;
+    ++size_;
+  }
+  return slot;
+}
+
+uint32_t QueryIndex::TupleIdTable::InternMove(std::vector<Tuple>& tuples, Tuple& t) {
+  ReserveOneMore(tuples);
+  uint32_t& slot = slots_[Probe(tuples, t)];
+  if (slot == kEmpty) {
+    slot = static_cast<uint32_t>(tuples.size());
+    tuples.push_back(std::move(t));
+    ++size_;
+  }
+  return slot;
+}
+
 QueryIndex::QueryIndex(const Structure& g, const ParametricQuery& query,
                        // qpwm-lint: allow(legacy-tuple-vector) — sink parameter; the index owns its query-parameter domain
                        std::vector<Tuple> domain)
@@ -22,55 +70,76 @@ QueryIndex::QueryIndex(const Structure& g, const ParametricQuery& query,
         return query.Evaluate(g, domain_[i]);
       });
 
-  results_.resize(domain_.size());
   for (size_t i = 0; i < domain_.size(); ++i) {
-    param_index_.emplace(domain_[i], static_cast<uint32_t>(i));
-    auto& row = results_[i];
-    row.reserve(raw[i].size());
-    for (Tuple& t : raw[i]) {
-      QPWM_CHECK_EQ(t.size(), query.ResultArity());
-      auto [it, inserted] =
-          active_index_.emplace(t, static_cast<uint32_t>(active_.size()));
-      if (inserted) active_.push_back(std::move(t));
-      row.push_back(it->second);
-    }
-    std::sort(row.begin(), row.end());
-    row.erase(std::unique(row.begin(), row.end()), row.end());
+    param_ids_.InternExisting(domain_, static_cast<uint32_t>(i));
   }
-  containing_.resize(active_.size());
-  for (size_t i = 0; i < results_.size(); ++i) {
-    for (uint32_t w : results_[i]) {
-      containing_[w].push_back(static_cast<uint32_t>(i));
+
+  // Result tuples move into active_ on first sight: unary ones through the
+  // per-element id array, wider ones through the id table.
+  const bool unary = query.ResultArity() == 1;
+  if (unary) active_of_elem_.assign(g.universe_size(), -1);
+  auto intern = [&](Tuple& t) -> uint32_t {
+    QPWM_CHECK_EQ(t.size(), query.ResultArity());
+    if (!unary) return active_ids_.InternMove(active_, t);
+    QPWM_CHECK_LT(t[0], g.universe_size());
+    int32_t& id = active_of_elem_[t[0]];
+    if (id < 0) {
+      id = static_cast<int32_t>(active_.size());
+      active_.push_back(std::move(t));
     }
+    return static_cast<uint32_t>(id);
+  };
+  result_offsets_.reserve(domain_.size() + 1);
+  result_offsets_.push_back(0);
+  for (std::vector<Tuple>& results : raw) {
+    const size_t begin = result_ids_.size();
+    for (Tuple& t : results) result_ids_.push_back(intern(t));
+    std::sort(result_ids_.begin() + begin, result_ids_.end());
+    result_ids_.erase(std::unique(result_ids_.begin() + begin, result_ids_.end()),
+                      result_ids_.end());
+    result_offsets_.push_back(static_cast<uint32_t>(result_ids_.size()));
+    results = {};  // release the answer set as soon as it is interned
   }
-  if (query.ResultArity() == 1) {
-    active_of_elem_.assign(g.universe_size(), -1);
-    for (size_t w = 0; w < active_.size(); ++w) {
-      active_of_elem_[active_[w][0]] = static_cast<int32_t>(w);
-    }
+
+  // Inverse lists by counting sort over the rows; filling in parameter
+  // order keeps each list ascending.
+  containing_offsets_.assign(active_.size() + 1, 0);
+  for (uint32_t w : result_ids_) ++containing_offsets_[w + 1];
+  for (size_t w = 0; w < active_.size(); ++w) {
+    containing_offsets_[w + 1] += containing_offsets_[w];
+  }
+  containing_ids_.resize(result_ids_.size());
+  std::vector<uint32_t> cursor(containing_offsets_.begin(), containing_offsets_.end() - 1);
+  for (size_t i = 0; i < domain_.size(); ++i) {
+    for (uint32_t w : ResultFor(i)) containing_ids_[cursor[w]++] = static_cast<uint32_t>(i);
   }
 }
 
 Result<size_t> QueryIndex::FindParam(const Tuple& params) const {
-  auto it = param_index_.find(params);
-  if (it == param_index_.end()) return Status::NotFound("parameter outside domain");
-  return static_cast<size_t>(it->second);
+  const std::optional<uint32_t> id = param_ids_.Find(domain_, params);
+  if (!id) return Status::NotFound("parameter outside domain");
+  return static_cast<size_t>(*id);
 }
 
 Result<size_t> QueryIndex::FindActive(const Tuple& t) const {
-  auto it = active_index_.find(t);
-  if (it == active_index_.end()) return Status::NotFound("tuple is not an active element");
-  return static_cast<size_t>(it->second);
+  if (has_unary_actives()) {
+    const int32_t id = t.size() == 1 ? ActiveIdOfElem(t[0]) : -1;
+    if (id < 0) return Status::NotFound("tuple is not an active element");
+    return static_cast<size_t>(id);
+  }
+  const std::optional<uint32_t> id = active_ids_.Find(active_, t);
+  if (!id) return Status::NotFound("tuple is not an active element");
+  return static_cast<size_t>(*id);
 }
 
 bool QueryIndex::Contains(size_t param_idx, size_t w) const {
-  const auto& row = results_[param_idx];
+  const std::span<const uint32_t> row = ResultFor(param_idx);
   return std::binary_search(row.begin(), row.end(), static_cast<uint32_t>(w));
 }
 
 Weight QueryIndex::SumWeights(size_t param_idx, const WeightMap& weights) const {
   Weight sum = 0;
-  for (uint32_t w : results_[param_idx]) sum += weights.Get(active_[w]);
+  for (uint32_t w : ResultFor(param_idx)) sum += weights.Get(active_[w]);
   return sum;
 }
 
@@ -144,7 +213,7 @@ void HonestServer::Serve(const Tuple& params, Out& out) const {
   // index, which is observationally identical and keeps benches fast.
   auto idx = index_->FindParam(params);
   if (idx.ok()) {
-    const std::vector<uint32_t>& result = index_->ResultFor(idx.value());
+    const std::span<const uint32_t> result = index_->ResultFor(idx.value());
     ReserveRows(out, result.size());
     for (uint32_t w : result) AppendRow(out, index_->active_element(w), view_.at(w));
     return;

@@ -8,7 +8,8 @@
 
 #include <atomic>
 #include <cstdint>
-#include <unordered_map>
+#include <optional>
+#include <span>
 #include <vector>
 
 #include "qpwm/logic/query.h"
@@ -75,7 +76,8 @@ struct FlatAnswerBatch {
 ///
 /// Active elements (the paper's W) are interned to dense indices; per-param
 /// results and the inverse map (which params contain a given active element)
-/// are both kept, since the schemes need both directions.
+/// are both kept, since the schemes need both directions. Both directions
+/// are CSR-packed: one offsets array and one id array each.
 class QueryIndex {
  public:
   // qpwm-lint: allow(legacy-tuple-vector) — sink parameter; the index owns its query-parameter domain
@@ -88,7 +90,8 @@ class QueryIndex {
   const Tuple& param(size_t i) const { return domain_[i]; }
   const std::vector<Tuple>& domain() const { return domain_; }
 
-  /// Index of a parameter tuple in the domain.
+  /// Index of a parameter tuple in the domain (the first, when the domain
+  /// repeats it).
   [[nodiscard]] Result<size_t> FindParam(const Tuple& params) const;
 
   /// |W|: number of distinct active weighted elements.
@@ -110,13 +113,15 @@ class QueryIndex {
   bool has_unary_actives() const { return !active_of_elem_.empty(); }
 
   /// W_a as sorted active-element indices.
-  const std::vector<uint32_t>& ResultFor(size_t param_idx) const {
-    return results_[param_idx];
+  std::span<const uint32_t> ResultFor(size_t param_idx) const {
+    return {result_ids_.data() + result_offsets_[param_idx],
+            result_offsets_[param_idx + 1] - result_offsets_[param_idx]};
   }
 
-  /// Parameters whose result set contains active element `w`.
-  const std::vector<uint32_t>& ParamsContaining(size_t w) const {
-    return containing_[w];
+  /// Parameters whose result set contains active element `w`, ascending.
+  std::span<const uint32_t> ParamsContaining(size_t w) const {
+    return {containing_ids_.data() + containing_offsets_[w],
+            containing_offsets_[w + 1] - containing_offsets_[w]};
   }
 
   /// Membership test (binary search over the sorted result list).
@@ -126,17 +131,47 @@ class QueryIndex {
   Weight SumWeights(size_t param_idx, const WeightMap& weights) const;
 
  private:
+  /// Open-addressing hash set of ids into a caller-owned tuple array, keyed
+  /// by the tuples themselves: interning stores 4 bytes per id and never
+  /// copies a key. Probing is linear over a power-of-two slot array kept at
+  /// most half full.
+  class TupleIdTable {
+   public:
+    /// Id of the tuple equal to `t` among `tuples`, if one was interned.
+    std::optional<uint32_t> Find(const std::vector<Tuple>& tuples,
+                                 const Tuple& t) const;
+    /// Id of the first interned tuple equal to tuples[id], interning `id`
+    /// when there is none.
+    uint32_t InternExisting(const std::vector<Tuple>& tuples, uint32_t id);
+    /// Id of the interned tuple equal to `t`; when there is none, moves `t`
+    /// to the end of `tuples` and interns that new id.
+    uint32_t InternMove(std::vector<Tuple>& tuples, Tuple& t);
+
+   private:
+    static constexpr uint32_t kEmpty = UINT32_MAX;
+    /// Slot holding the id of a tuple equal to `t`, or the empty slot where
+    /// its probe sequence ends.
+    size_t Probe(const std::vector<Tuple>& tuples, const Tuple& t) const;
+    /// Grows (and rehashes) so one more id keeps the table at most half full.
+    void ReserveOneMore(const std::vector<Tuple>& tuples);
+
+    std::vector<uint32_t> slots_;
+    size_t size_ = 0;
+  };
+
   const Structure* g_;
   const ParametricQuery* query_;
   // qpwm-lint: allow(legacy-tuple-vector) — owned query-parameter domain, not relation rows
   std::vector<Tuple> domain_;
-  std::unordered_map<Tuple, uint32_t, TupleHash> param_index_;
-  // qpwm-lint: allow(legacy-tuple-vector) — active parameter subset; param tuples, not relation rows
+  TupleIdTable param_ids_;  // over domain_
+  // qpwm-lint: allow(legacy-tuple-vector) — interned query results, moved out of Evaluate's answer sets
   std::vector<Tuple> active_;
-  std::unordered_map<Tuple, uint32_t, TupleHash> active_index_;
+  TupleIdTable active_ids_;              // over active_; result arity != 1
   std::vector<int32_t> active_of_elem_;  // result arity 1 only; -1 = inactive
-  std::vector<std::vector<uint32_t>> results_;     // param -> active indices (sorted)
-  std::vector<std::vector<uint32_t>> containing_;  // active -> params (sorted)
+  std::vector<uint32_t> result_offsets_;      // num_params + 1
+  std::vector<uint32_t> result_ids_;          // per param: active ids, sorted
+  std::vector<uint32_t> containing_offsets_;  // num_active + 1
+  std::vector<uint32_t> containing_ids_;      // per active: params, sorted
 };
 
 /// Flat snapshot of a WeightMap over a QueryIndex's active elements: slot w

@@ -7,7 +7,7 @@ namespace qpwm {
 
 Weight AggregateWeight(const QueryIndex& index, size_t param_idx,
                        const WeightMap& weights, Aggregate agg) {
-  const auto& row = index.ResultFor(param_idx);
+  const std::span<const uint32_t> row = index.ResultFor(param_idx);
   if (row.empty()) return 0;
   switch (agg) {
     case Aggregate::kSum:

@@ -1,5 +1,6 @@
 #include "qpwm/core/incremental.h"
 
+#include <memory>
 #include <set>
 #include <string>
 
@@ -13,15 +14,19 @@ namespace qpwm {
 namespace {
 
 std::set<std::string> TypeSet(const QueryIndex& index, uint32_t rho) {
-  const Structure& g = index.structure();
-  GaifmanGraph gaifman(g);
-  IncidenceIndex incidence(g);
-  std::vector<std::string> canons = ParallelMap<std::string>(
-      index.num_params(), [&](size_t i) {
-        Neighborhood nb =
-            ExtractNeighborhood(g, gaifman, incidence, index.param(i), rho);
-        return CanonCache::Global().Canonical(nb.local, nb.distinguished);
-      });
+  const TupleIncidence incidence(index.structure());
+  ScratchPool<NeighborhoodScratch> pool;
+  std::vector<std::string> canons(index.num_params());
+  ParallelBlocks<int>(index.num_params(), [&](size_t begin, size_t end) {
+    std::unique_ptr<NeighborhoodScratch> scratch = pool.Acquire();
+    for (size_t i = begin; i < end; ++i) {
+      const Neighborhood& nb =
+          ExtractNeighborhoodInto(incidence, index.param(i), rho, *scratch);
+      canons[i] = CanonCache::Global().Canonical(nb.local, nb.distinguished);
+    }
+    pool.Release(std::move(scratch));
+    return 0;
+  });
   return std::set<std::string>(canons.begin(), canons.end());
 }
 

@@ -43,8 +43,8 @@ std::vector<uint32_t> GreedySelect(const PairMarking& all, uint32_t budget) {
   std::vector<std::vector<uint32_t>> contributions =
       ParallelMap<std::vector<uint32_t>>(all.size(), [&](size_t i) {
         const WeightPair& p = all.pairs()[i];
-        const auto& in_plus = index.ParamsContaining(p.plus);
-        const auto& in_minus = index.ParamsContaining(p.minus);
+        const std::span<const uint32_t> in_plus = index.ParamsContaining(p.plus);
+        const std::span<const uint32_t> in_minus = index.ParamsContaining(p.minus);
         std::vector<uint32_t> out;
         size_t a = 0, b = 0;
         while (a < in_plus.size() || b < in_minus.size()) {
@@ -112,6 +112,21 @@ Result<LocalScheme> LocalScheme::Plan(const QueryIndex& index,
     return Status::InvalidArgument("epsilon must be in (0, 1]");
   }
   const auto budget = static_cast<uint32_t>(std::ceil(1.0 / options.epsilon));
+  // Typing reads each parameter's elements through per-element tables, so a
+  // parameter must name elements of the universe with the query's arity.
+  for (const Tuple& param : index.domain()) {
+    if (param.size() != query.ParamArity()) {
+      return Status::InvalidArgument(StrCat("domain tuple of arity ", param.size(),
+                                            ", the query takes ", query.ParamArity()));
+    }
+    for (ElemId e : param) {
+      if (e >= g.universe_size()) {
+        return Status::InvalidArgument(StrCat("domain tuple names element ", e,
+                                              " outside the universe of size ",
+                                              g.universe_size()));
+      }
+    }
+  }
 
   // 1-2. Type parameters; canonical representatives come out of the typer.
   // TypeAll extracts and canonicalizes neighborhoods in parallel through the
@@ -230,7 +245,7 @@ WitnessPlan LocalScheme::BuildWitnessPlan(const PairMarking& marking) {
   slots.reserve(2 * marking.size());
   for (const WeightPair& p : marking.pairs()) {
     for (const uint32_t w : {p.plus, p.minus}) {
-      const auto& witnesses = index.ParamsContaining(w);
+      const std::span<const uint32_t> witnesses = index.ParamsContaining(w);
       if (witnesses.empty()) {
         slots.push_back({nullptr, 0, w});
       } else {

@@ -1,7 +1,6 @@
 #include "qpwm/core/pairs.h"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "qpwm/util/check.h"
 #include "qpwm/util/parallel.h"
@@ -61,24 +60,38 @@ WitnessPlan MakeWitnessPlan(const std::vector<SlotRead>& slots,
   plan.index = index;
   plan.num_keys = num_keys;
   plan.num_pairs = slots.size() / 2;
-  std::unordered_map<uint32_t, uint32_t> witness_of;  // witness id -> index
-  std::vector<std::vector<std::pair<uint32_t, uint32_t>>> reads;
+  // Witness index per witness id, in first-use order, from a dense table
+  // over the id range; then the reads go CSR by a counting sort, which
+  // keeps each witness's reads in slot order.
+  uint32_t max_id = 0;
+  for (const SlotRead& read : slots) {
+    if (read.witness != nullptr) max_id = std::max(max_id, read.witness_id);
+  }
+  constexpr uint32_t kUnseen = UINT32_MAX;
+  std::vector<uint32_t> witness_of(size_t{max_id} + 1, kUnseen);
+  std::vector<uint32_t> witness_of_slot(slots.size(), kUnseen);
   for (size_t slot = 0; slot < slots.size(); ++slot) {
     const SlotRead& read = slots[slot];
     if (read.witness == nullptr) continue;  // stays unfound -> erased
     QPWM_CHECK_LT(read.key, num_keys);
-    auto [it, inserted] = witness_of.try_emplace(
-        read.witness_id, static_cast<uint32_t>(plan.params.size()));
-    if (inserted) {
+    uint32_t& witness = witness_of[read.witness_id];
+    if (witness == kUnseen) {
+      witness = static_cast<uint32_t>(plan.params.size());
       plan.params.push_back(*read.witness);
-      reads.emplace_back();
+      plan.read_offsets.push_back(0);
     }
-    reads[it->second].push_back({static_cast<uint32_t>(slot), read.key});
+    witness_of_slot[slot] = witness;
+    ++plan.read_offsets[witness + 1];
   }
-  plan.read_offsets.reserve(reads.size() + 1);
-  for (const auto& witness_reads : reads) {
-    plan.reads.insert(plan.reads.end(), witness_reads.begin(), witness_reads.end());
-    plan.read_offsets.push_back(static_cast<uint32_t>(plan.reads.size()));
+  for (size_t s = 0; s < plan.params.size(); ++s) {
+    plan.read_offsets[s + 1] += plan.read_offsets[s];
+  }
+  plan.reads.resize(plan.read_offsets.back());
+  std::vector<uint32_t> cursor(plan.read_offsets.begin(), plan.read_offsets.end() - 1);
+  for (size_t slot = 0; slot < slots.size(); ++slot) {
+    const uint32_t witness = witness_of_slot[slot];
+    if (witness == kUnseen) continue;
+    plan.reads[cursor[witness]++] = {static_cast<uint32_t>(slot), slots[slot].key};
   }
   return plan;
 }
@@ -174,8 +187,8 @@ std::vector<uint32_t> PairMarking::CostPerParam() const {
   auto accumulate = [this](size_t begin, size_t end, std::vector<uint32_t>& cost) {
     for (size_t pi = begin; pi < end; ++pi) {
       const WeightPair& p = pairs_[pi];
-      const auto& in_plus = index_->ParamsContaining(p.plus);
-      const auto& in_minus = index_->ParamsContaining(p.minus);
+      const std::span<const uint32_t> in_plus = index_->ParamsContaining(p.plus);
+      const std::span<const uint32_t> in_minus = index_->ParamsContaining(p.minus);
       // Symmetric difference of the two sorted parameter lists.
       size_t i = 0, j = 0;
       while (i < in_plus.size() || j < in_minus.size()) {

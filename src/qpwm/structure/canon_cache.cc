@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstring>
 #include <numeric>
+#include <optional>
+#include <span>
 #include <vector>
 
 #include "qpwm/structure/isomorphism.h"
@@ -19,13 +21,48 @@ void Push32(std::string& out, uint32_t v) {
   out.append(buf, 4);
 }
 
+// A structure's relations as flat records, read through one interface so
+// the fingerprint runs on a Structure and on gathered neighborhood records
+// alike. Records may come in any order: every use below is commutative.
+struct StructureRecords {
+  const Structure& s;
+  size_t universe() const { return s.universe_size(); }
+  size_t num_relations() const { return s.num_relations(); }
+  uint32_t arity(size_t r) const { return s.relation(r).arity(); }
+  size_t count(size_t r) const { return s.relation(r).size(); }
+  std::span<const ElemId> flat(size_t r) const { return s.relation(r).flat(); }
+};
+
+struct GatheredRecords {
+  size_t n;
+  const std::vector<uint32_t>& arities;
+  const std::vector<std::vector<ElemId>>& records;
+  size_t universe() const { return n; }
+  size_t num_relations() const { return arities.size(); }
+  uint32_t arity(size_t r) const { return arities[r]; }
+  // Gathered records never hold a nullary tuple (it has no element to be
+  // incident to).
+  size_t count(size_t r) const { return arities[r] == 0 ? 0 : records[r].size() / arities[r]; }
+  std::span<const ElemId> flat(size_t r) const { return records[r]; }
+};
+
+// Calls fn(record) for each record of relation r of `s`.
+template <typename Records, typename Fn>
+void ForEachRecord(const Records& s, size_t r, Fn&& fn) {
+  const std::span<const ElemId> flat = s.flat(r);
+  const uint32_t a = s.arity(r);
+  const size_t count = s.count(r);
+  for (size_t i = 0; i < count; ++i) fn(flat.subspan(i * a, a));
+}
+
 // Bounded (two-round) color refinement with commutative multiset hashing.
 // Isomorphism-invariant per element; much cheaper than the stability-checked
 // refinement inside CanonicalForm (no per-element sorts, no partition ranks,
 // flat buffers only).
-void RefineColors(const Structure& s, const Tuple& dist,
+template <typename Records>
+void RefineColors(const Records& s, const Tuple& dist,
                   std::vector<uint64_t>& colors, std::vector<uint64_t>& scratch) {
-  const size_t n = s.universe_size();
+  const size_t n = s.universe();
   colors.assign(n, 0x9E3779B97F4A7C15ULL);
   for (size_t i = 0; i < dist.size(); ++i) {
     colors[dist[i]] = HashCombine(colors[dist[i]], 0xD157 + i);
@@ -33,7 +70,7 @@ void RefineColors(const Structure& s, const Tuple& dist,
   for (int round = 0; round < kRefineRounds; ++round) {
     scratch.assign(colors.begin(), colors.end());
     for (size_t r = 0; r < s.num_relations(); ++r) {
-      for (TupleRef t : s.relation(r).tuples()) {
+      ForEachRecord(s, r, [&](std::span<const ElemId> t) {
         uint64_t h = HashCombine(0xABCD, r);
         for (ElemId e : t) h = HashCombine(h, colors[e]);
         for (size_t pos = 0; pos < t.size(); ++pos) {
@@ -41,7 +78,7 @@ void RefineColors(const Structure& s, const Tuple& dist,
           // multiset invariant without sorting.
           scratch[t[pos]] += HashCombine(h, pos + 1);
         }
-      }
+      });
     }
     colors.swap(scratch);
   }
@@ -50,9 +87,10 @@ void RefineColors(const Structure& s, const Tuple& dist,
 // Refinement relabeling shared by the string key and the fingerprint:
 // rank elements by (refined color, input id). When the colors are all
 // distinct the input id never breaks a tie and the relabeling is canonical.
-void RefinementRanks(const Structure& s, const Tuple& dist, CanonKeyScratch& sc) {
+template <typename Records>
+void RefinementRanks(const Records& s, const Tuple& dist, CanonKeyScratch& sc) {
   RefineColors(s, dist, sc.colors, sc.tmp);
-  const size_t n = s.universe_size();
+  const size_t n = s.universe();
   sc.order.resize(n);
   std::iota(sc.order.begin(), sc.order.end(), 0u);
   std::sort(sc.order.begin(), sc.order.end(), [&sc](ElemId a, ElemId b) {
@@ -62,12 +100,49 @@ void RefinementRanks(const Structure& s, const Tuple& dist, CanonKeyScratch& sc)
   for (size_t i = 0; i < n; ++i) sc.rank[sc.order[i]] = static_cast<uint32_t>(i);
 }
 
+template <typename Records>
+CanonFingerprint Fingerprint128(const Records& s, const Tuple& distinguished,
+                                CanonKeyScratch& scratch) {
+  RefinementRanks(s, distinguished, scratch);
+
+  // Two streams with distinct seeds; the second additionally perturbs every
+  // input word so the streams never collapse to one function of the other.
+  uint64_t lo = 0x51AB0FF1CE0ULL;
+  uint64_t hi = 0xC0DEC0FFEE1ULL;
+  auto mix = [&lo, &hi](uint64_t v) {
+    lo = HashCombine(lo, v);
+    hi = HashCombine(hi, v ^ 0xA5A5A5A5A5A5A5A5ULL);
+  };
+  mix(s.universe());
+  mix(distinguished.size());
+  for (ElemId e : distinguished) mix(scratch.rank[e]);
+  mix(s.num_relations());
+  for (size_t r = 0; r < s.num_relations(); ++r) {
+    // Per-relation commutative accumulation: each record hashes on its own,
+    // the sums are order-insensitive — no record sort, unlike the string
+    // key, yet records still compare as whole tuples.
+    uint64_t sum_lo = 0;
+    uint64_t sum_hi = 0;
+    ForEachRecord(s, r, [&](std::span<const ElemId> t) {
+      uint64_t h = HashCombine(0x7EC0DE, r);
+      for (ElemId e : t) h = HashCombine(h, scratch.rank[e]);
+      sum_lo += h;
+      sum_hi += HashCombine(h, 0x5EED);
+    });
+    mix(s.arity(r));
+    mix(s.count(r));
+    lo = HashCombine(lo, sum_lo);
+    hi = HashCombine(hi, sum_hi);
+  }
+  return {lo, hi};
+}
+
 }  // namespace
 
 std::string CanonCacheKey(const Structure& s, const Tuple& distinguished) {
   const size_t n = s.universe_size();
   CanonKeyScratch sc;
-  RefinementRanks(s, distinguished, sc);
+  RefinementRanks(StructureRecords{s}, distinguished, sc);
 
   size_t words = 2 + distinguished.size();
   for (size_t r = 0; r < s.num_relations(); ++r) {
@@ -106,39 +181,15 @@ uint64_t NeighborhoodFingerprint(const Structure& s, const Tuple& distinguished)
 CanonFingerprint NeighborhoodFingerprint128(const Structure& s,
                                             const Tuple& distinguished,
                                             CanonKeyScratch& scratch) {
-  RefinementRanks(s, distinguished, scratch);
+  return Fingerprint128(StructureRecords{s}, distinguished, scratch);
+}
 
-  // Two streams with distinct seeds; the second additionally perturbs every
-  // input word so the streams never collapse to one function of the other.
-  uint64_t lo = 0x51AB0FF1CE0ULL;
-  uint64_t hi = 0xC0DEC0FFEE1ULL;
-  auto mix = [&lo, &hi](uint64_t v) {
-    lo = HashCombine(lo, v);
-    hi = HashCombine(hi, v ^ 0xA5A5A5A5A5A5A5A5ULL);
-  };
-  mix(s.universe_size());
-  mix(distinguished.size());
-  for (ElemId e : distinguished) mix(scratch.rank[e]);
-  mix(s.num_relations());
-  for (size_t r = 0; r < s.num_relations(); ++r) {
-    const Relation& rel = s.relation(r);
-    // Per-relation commutative accumulation: each record hashes on its own,
-    // the sums are order-insensitive — no record sort, unlike the string
-    // key, yet records still compare as whole tuples.
-    uint64_t sum_lo = 0;
-    uint64_t sum_hi = 0;
-    for (TupleRef t : rel.tuples()) {
-      uint64_t h = HashCombine(0x7EC0DE, r);
-      for (ElemId e : t) h = HashCombine(h, scratch.rank[e]);
-      sum_lo += h;
-      sum_hi += HashCombine(h, 0x5EED);
-    }
-    mix(rel.arity());
-    mix(rel.size());
-    lo = HashCombine(lo, sum_lo);
-    hi = HashCombine(hi, sum_hi);
-  }
-  return {lo, hi};
+CanonFingerprint NeighborhoodFingerprint128(
+    size_t universe_size, const std::vector<uint32_t>& arities,
+    const std::vector<std::vector<ElemId>>& records, const Tuple& distinguished,
+    CanonKeyScratch& scratch) {
+  return Fingerprint128(GatheredRecords{universe_size, arities, records},
+                        distinguished, scratch);
 }
 
 CanonCache& CanonCache::Global() {
@@ -154,28 +205,33 @@ uint32_t CanonCache::InternForm(std::string canon) {
   return it->second;
 }
 
-uint32_t CanonCache::CanonicalId(const Structure& s, const Tuple& distinguished,
-                                 CanonKeyScratch& scratch) {
-  const CanonFingerprint fp = NeighborhoodFingerprint128(s, distinguished, scratch);
+std::optional<uint32_t> CanonCache::Lookup(const CanonFingerprint& fp) {
   Shard& shard = shards_[fp.hi % kShards];
-  {
-    qpwm::MutexLock lock(shard.mu);
-    auto it = shard.map.find(fp);
-    if (it != shard.map.end()) {
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      return it->second;
-    }
-  }
+  qpwm::MutexLock lock(shard.mu);
+  auto it = shard.map.find(fp);
+  if (it == shard.map.end()) return std::nullopt;
+  hits_.fetch_add(1, std::memory_order_relaxed);
+  return it->second;
+}
+
+uint32_t CanonCache::Insert(const CanonFingerprint& fp, const Structure& s,
+                            const Tuple& distinguished) {
   misses_.fetch_add(1, std::memory_order_relaxed);
   // Canonicalize outside the lock: concurrent misses on the same fingerprint
   // both compute (identical) forms and intern to the same id; emplace keeps
   // the first fingerprint entry.
   const uint32_t id = InternForm(CanonicalForm(s, distinguished));
-  {
-    qpwm::MutexLock lock(shard.mu);
-    shard.map.emplace(fp, id);
-  }
+  Shard& shard = shards_[fp.hi % kShards];
+  qpwm::MutexLock lock(shard.mu);
+  shard.map.emplace(fp, id);
   return id;
+}
+
+uint32_t CanonCache::CanonicalId(const Structure& s, const Tuple& distinguished,
+                                 CanonKeyScratch& scratch) {
+  const CanonFingerprint fp = NeighborhoodFingerprint128(s, distinguished, scratch);
+  if (std::optional<uint32_t> id = Lookup(fp)) return *id;
+  return Insert(fp, s, distinguished);
 }
 
 std::string CanonCache::CanonicalOfId(uint32_t id) const {

@@ -32,6 +32,7 @@
 #include <atomic>
 #include <cstdint>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -79,6 +80,17 @@ CanonFingerprint NeighborhoodFingerprint128(const Structure& s,
                                             const Tuple& distinguished,
                                             CanonKeyScratch& scratch);
 
+/// The same fingerprint, read from gathered records instead of a Structure:
+/// universe {0..universe_size-1}, relation r holding records[r] (flat,
+/// arities[r] ids per record, in any order, no nullary tuples). Equal to
+/// fingerprinting the structure those records form — the hash is
+/// order-insensitive per relation — so a neighborhood is fingerprinted
+/// before, and on a cache hit instead of, building its local structure.
+CanonFingerprint NeighborhoodFingerprint128(
+    size_t universe_size, const std::vector<uint32_t>& arities,
+    const std::vector<std::vector<ElemId>>& records, const Tuple& distinguished,
+    CanonKeyScratch& scratch);
+
 class CanonCache {
  public:
   struct Stats {
@@ -108,6 +120,14 @@ class CanonCache {
   /// a Clear().
   uint32_t CanonicalId(const Structure& s, const Tuple& distinguished,
                        CanonKeyScratch& scratch);
+
+  /// CanonicalId split at the fingerprint, for callers that fingerprint
+  /// before they build the structure. Lookup returns the id interned under
+  /// `fp` and counts a hit, or returns nullopt. Insert canonicalizes `s` —
+  /// whose fingerprint must be `fp` — counts a miss and records the id.
+  std::optional<uint32_t> Lookup(const CanonFingerprint& fp);
+  uint32_t Insert(const CanonFingerprint& fp, const Structure& s,
+                  const Tuple& distinguished);
 
   /// The canonical form interned under `id` (copy; the table may rehash).
   std::string CanonicalOfId(uint32_t id) const;

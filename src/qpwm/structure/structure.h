@@ -155,6 +155,8 @@ class Relation {
   TupleList tuples() const { return {flat_.data(), arity_, count_}; }
   TupleRef tuple(size_t i) const { return {flat_.data() + i * arity_, arity_}; }
   size_t size() const { return count_; }
+  /// Every tuple's elements, record-major.
+  std::span<const ElemId> flat() const { return {flat_.data(), count_ * arity_}; }
 
   /// Inserts a tuple (deduplicated). Arity-checked.
   void Add(const Tuple& t) {

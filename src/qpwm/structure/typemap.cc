@@ -1,6 +1,7 @@
 #include "qpwm/structure/typemap.h"
 
 #include <memory>
+#include <optional>
 #include <utility>
 
 #include "qpwm/structure/isomorphism.h"
@@ -20,11 +21,22 @@ struct TypeAllScratch {
 
 NeighborhoodTyper::NeighborhoodTyper(const Structure& g, uint32_t rho,
                                      CanonCache* cache)
-    : g_(g), rho_(rho), gaifman_(g), incidence_(g), cache_(cache) {}
+    : rho_(rho), incidence_(g), cache_(cache) {}
 
-std::string NeighborhoodTyper::Canon(const Tuple& c) const {
-  Neighborhood nb = ExtractNeighborhood(g_, gaifman_, incidence_, c, rho_);
-  return CanonicalForm(nb.local, nb.distinguished);
+std::string NeighborhoodTyper::Canon(const Tuple& c, NeighborhoodScratch& nb) const {
+  const Neighborhood& full = ExtractNeighborhoodInto(incidence_, c, rho_, nb);
+  return CanonicalForm(full.local, full.distinguished);
+}
+
+uint32_t NeighborhoodTyper::CachedId(const Tuple& c, NeighborhoodScratch& nb,
+                                     CanonKeyScratch& key) const {
+  GatherNeighborhood(incidence_, c, rho_, nb);
+  const CanonFingerprint fp = NeighborhoodFingerprint128(
+      nb.nb.global_ids.size(), incidence_.arities(), nb.rel_flat,
+      nb.nb.distinguished, key);
+  if (std::optional<uint32_t> id = cache_->Lookup(fp)) return *id;
+  const Neighborhood& full = MaterializeNeighborhood(incidence_, nb);
+  return cache_->Insert(fp, full.local, full.distinguished);
 }
 
 uint32_t NeighborhoodTyper::Intern(std::string canon, const Tuple& c) {
@@ -43,40 +55,38 @@ uint32_t NeighborhoodTyper::InternCacheId(uint32_t cache_id, const Tuple& c) {
 }
 
 uint32_t NeighborhoodTyper::TypeOf(const Tuple& c) {
-  if (cache_ == nullptr) return Intern(Canon(c), c);
-  Neighborhood& nb =
-      ExtractNeighborhoodInto(g_, gaifman_, incidence_, c, rho_, nb_scratch_);
-  return InternCacheId(cache_->CanonicalId(nb.local, nb.distinguished, key_scratch_), c);
+  if (cache_ == nullptr) return Intern(Canon(c, nb_scratch_), c);
+  return InternCacheId(CachedId(c, nb_scratch_, key_scratch_), c);
 }
 
 std::vector<uint32_t> NeighborhoodTyper::TypeAll(const std::vector<Tuple>& tuples) {
-  if (cache_ == nullptr) {
-    std::vector<std::string> canons = ParallelMap<std::string>(
-        tuples.size(), [&](size_t i) { return Canon(tuples[i]); });
-    std::vector<uint32_t> types(tuples.size());
-    for (size_t i = 0; i < tuples.size(); ++i) {
-      types[i] = Intern(std::move(canons[i]), tuples[i]);
-    }
-    return types;
-  }
-  // Cached path: workers produce interned cache ids with pooled scratch —
-  // zero steady-state allocation per tuple — and the serial re-intern below
-  // maps the (discovery-ordered, nondeterministic) cache ids to dense type
-  // ids in input order, so the output matches the serial TypeOf sequence
-  // bit-for-bit at any thread count.
+  // Workers extract with pooled scratch — zero steady-state allocation per
+  // tuple — and produce canonical strings (uncached) or interned cache ids.
+  // The serial intern below maps them to dense type ids in input order (the
+  // cache ids are discovery-ordered and nondeterministic), so the output
+  // matches the serial TypeOf sequence bit-for-bit at any thread count.
   ScratchPool<TypeAllScratch> pool;
-  std::vector<uint32_t> cache_ids(tuples.size());
+  std::vector<std::string> canons(cache_ == nullptr ? tuples.size() : 0);
+  std::vector<uint32_t> cache_ids(cache_ == nullptr ? 0 : tuples.size());
   ParallelBlocks<int>(tuples.size(), [&](size_t begin, size_t end) {
     std::unique_ptr<TypeAllScratch> scratch = pool.Acquire();
     for (size_t i = begin; i < end; ++i) {
-      Neighborhood& nb = ExtractNeighborhoodInto(g_, gaifman_, incidence_,
-                                                 tuples[i], rho_, scratch->nb);
-      cache_ids[i] = cache_->CanonicalId(nb.local, nb.distinguished, scratch->key);
+      if (cache_ == nullptr) {
+        canons[i] = Canon(tuples[i], scratch->nb);
+      } else {
+        cache_ids[i] = CachedId(tuples[i], scratch->nb, scratch->key);
+      }
     }
     pool.Release(std::move(scratch));
     return 0;
   });
   std::vector<uint32_t> types(tuples.size());
+  if (cache_ == nullptr) {
+    for (size_t i = 0; i < tuples.size(); ++i) {
+      types[i] = Intern(std::move(canons[i]), tuples[i]);
+    }
+    return types;
+  }
   for (size_t i = 0; i < tuples.size(); ++i) {
     types[i] = InternCacheId(cache_ids[i], tuples[i]);
   }

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "qpwm/structure/canon_cache.h"
-#include "qpwm/structure/gaifman.h"
 #include "qpwm/structure/neighborhood.h"
 #include "qpwm/structure/structure.h"
 
@@ -47,21 +46,23 @@ class NeighborhoodTyper {
   const Tuple& Representative(uint32_t type) const { return representatives_[type]; }
 
   uint32_t rho() const { return rho_; }
-  const GaifmanGraph& gaifman() const { return gaifman_; }
+  /// The one index typing builds over the structure.
+  const TupleIncidence& incidence() const { return incidence_; }
 
  private:
   /// Canonical form of the rho-neighborhood of `c`, uncached string path.
-  std::string Canon(const Tuple& c) const;
+  std::string Canon(const Tuple& c, NeighborhoodScratch& nb) const;
   /// Interns a canonical form, registering `c` as representative when new.
   uint32_t Intern(std::string canon, const Tuple& c);
   /// Type id for an interned CanonCache id; fetches the canonical string only
   /// the first time a given cache id is seen. Serial-only (not locked).
   uint32_t InternCacheId(uint32_t cache_id, const Tuple& c);
+  /// Shared-cache id of `c`'s neighborhood: gathers and fingerprints its
+  /// records, and builds the local structure only on a cache miss.
+  uint32_t CachedId(const Tuple& c, NeighborhoodScratch& nb, CanonKeyScratch& key) const;
 
-  const Structure& g_;
   uint32_t rho_;
-  GaifmanGraph gaifman_;
-  IncidenceIndex incidence_;
+  TupleIncidence incidence_;
   CanonCache* cache_;
   std::unordered_map<std::string, uint32_t> canon_to_type_;
   /// Memo from the shared cache's interned ids to this typer's dense type

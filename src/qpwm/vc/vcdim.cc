@@ -12,7 +12,8 @@ SetSystem SetSystemFromQuery(const QueryIndex& index) {
   out.ground_size = index.num_active();
   out.sets.reserve(index.num_params());
   for (size_t i = 0; i < index.num_params(); ++i) {
-    out.sets.push_back(index.ResultFor(i));  // already sorted
+    const std::span<const uint32_t> row = index.ResultFor(i);  // already sorted
+    out.sets.emplace_back(row.begin(), row.end());
   }
   // Distinct sets only (duplicates cannot change shattering).
   std::sort(out.sets.begin(), out.sets.end());

@@ -12,6 +12,8 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
+#include <span>
 #include <set>
 #include <vector>
 
@@ -28,10 +30,13 @@
 #include "qpwm/structure/neighborhood.h"
 #include "qpwm/structure/structure.h"
 #include "qpwm/structure/typemap.h"
+#include "qpwm/tree/mso.h"
 #include "qpwm/util/parallel.h"
 #include "qpwm/util/random.h"
 #include "qpwm/xml/encode.h"
 #include "qpwm/xml/xpath.h"
+#include "reference_extraction.h"
+#include "reference_index.h"
 #include "reference_observe.h"
 
 namespace qpwm {
@@ -144,6 +149,7 @@ TEST(LayoutEquivTest, RelationSwapFlatAndClearKeepCapacity) {
 void CheckGraphIndexes(const Structure& g) {
   const GaifmanGraph gg(g);
   const IncidenceIndex idx(g);
+  const TupleIncidence tuple_inc(g);
   for (ElemId e = 0; e < g.universe_size(); ++e) {
     // Naive adjacency: co-occurrence in any tuple of any relation.
     std::set<ElemId> naive_adj;
@@ -174,6 +180,17 @@ void CheckGraphIndexes(const Structure& g) {
     std::sort(inc.begin(), inc.end());
     std::sort(naive_inc.begin(), naive_inc.end());
     EXPECT_EQ(inc, naive_inc) << "incidence mismatch at element " << e;
+
+    // The inline records list the same tuples, in the same order, by value.
+    std::vector<uint32_t> want_words;
+    for (const auto& [r, ti] : naive_inc) {
+      want_words.push_back(r);
+      const TupleRef t = g.relation(r).tuple(ti);
+      want_words.insert(want_words.end(), t.begin(), t.end());
+    }
+    const std::span<const uint32_t> words = tuple_inc.Records(e);
+    EXPECT_EQ(std::vector<uint32_t>(words.begin(), words.end()), want_words)
+        << "inline records mismatch at element " << e;
   }
 }
 
@@ -202,33 +219,202 @@ TEST(LayoutEquivTest, SphereIntoMatchesAllocatingSphere) {
   }
 }
 
-// --- Arena neighborhood extraction vs fresh extraction -----------------------
+// --- Neighborhood extraction vs the sort-based reference ---------------------
+
+// Pins one extraction of N_rho(c) to the reference extractor
+// (tests/reference_extraction.h): the arena result, the allocating result
+// and the fingerprint of the gathered (unsorted) records must all match.
+void ExpectExtractionMatchesReference(const Structure& g, const GaifmanGraph& gg,
+                                      const IncidenceIndex& idx,
+                                      const TupleIncidence& inc, const Tuple& c,
+                                      uint32_t rho, NeighborhoodScratch& scratch) {
+  SCOPED_TRACE(testing::Message() << "rho " << rho << " c[0] " << c[0]);
+  const Neighborhood reference = ReferenceExtractNeighborhood(g, gg, idx, c, rho);
+  CanonKeyScratch key;
+  const CanonFingerprint want =
+      NeighborhoodFingerprint128(reference.local, reference.distinguished, key);
+
+  GatherNeighborhood(inc, c, rho, scratch);
+  EXPECT_EQ(scratch.nb.global_ids, reference.global_ids);
+  EXPECT_EQ(scratch.nb.distinguished, reference.distinguished);
+  const CanonFingerprint gathered =
+      NeighborhoodFingerprint128(scratch.nb.global_ids.size(), inc.arities(),
+                                 scratch.rel_flat, scratch.nb.distinguished, key);
+  EXPECT_TRUE(gathered == want);
+
+  const Neighborhood& arena = MaterializeNeighborhood(inc, scratch);
+  EXPECT_EQ(arena.distinguished, reference.distinguished);
+  EXPECT_EQ(arena.global_ids, reference.global_ids);
+  EXPECT_TRUE(SameStructure(arena.local, reference.local));
+  EXPECT_TRUE(NeighborhoodFingerprint128(arena.local, arena.distinguished, key) == want);
+
+  const Neighborhood fresh = ExtractNeighborhood(inc, c, rho);
+  EXPECT_EQ(fresh.distinguished, reference.distinguished);
+  EXPECT_EQ(fresh.global_ids, reference.global_ids);
+  EXPECT_TRUE(SameStructure(fresh.local, reference.local));
+}
 
 TEST(LayoutEquivTest, ArenaExtractionMatchesFreshAcrossRebinds) {
   Rng rng(17);
   const Structure g1 = RandomBoundedDegreeGraph(300, 3, 900, false, rng);
   const Structure g2 = GridGraph(10, 8);
-  const GaifmanGraph gg1(g1), gg2(g2);
-  const IncidenceIndex idx1(g1), idx2(g2);
+  const XmlDocument doc = RandomSchoolDocument(30, rng, 0, 20, 2);
+  const EncodedXml enc = EncodeXml(doc, {"exam"}).ValueOrDie();
+  const Structure g3 = TreeToStructure(enc.tree, enc.sigma);
+  const std::vector<const Structure*> instances = {&g1, &g2, &g3};
+  std::vector<std::unique_ptr<GaifmanGraph>> ggs;
+  std::vector<std::unique_ptr<IncidenceIndex>> idxs;
+  std::vector<std::unique_ptr<TupleIncidence>> incs;
+  for (const Structure* g : instances) {
+    ggs.push_back(std::make_unique<GaifmanGraph>(*g));
+    idxs.push_back(std::make_unique<IncidenceIndex>(*g));
+    incs.push_back(std::make_unique<TupleIncidence>(*g));
+  }
   NeighborhoodScratch scratch;  // rebinds between structures
-  for (int round = 0; round < 3; ++round) {
-    const bool first = round % 2 == 0;
-    const Structure& g = first ? g1 : g2;
-    const GaifmanGraph& gg = first ? gg1 : gg2;
-    const IncidenceIndex& idx = first ? idx1 : idx2;
+  for (int round = 0; round < 6; ++round) {
+    const size_t which = static_cast<size_t>(round) % instances.size();
+    const Structure& g = *instances[which];
     for (int i = 0; i < 40; ++i) {
-      const Tuple c = {static_cast<ElemId>(rng.Below(g.universe_size()))};
+      const ElemId a = static_cast<ElemId>(rng.Below(g.universe_size()));
+      const ElemId b = static_cast<ElemId>(rng.Below(g.universe_size()));
       for (uint32_t rho = 0; rho <= 2; ++rho) {
-        const Neighborhood fresh = ExtractNeighborhood(g, gg, idx, c, rho);
-        const Neighborhood& arena =
-            ExtractNeighborhoodInto(g, gg, idx, c, rho, scratch);
-        EXPECT_EQ(arena.distinguished, fresh.distinguished);
-        EXPECT_EQ(arena.global_ids, fresh.global_ids);
-        EXPECT_TRUE(SameStructure(arena.local, fresh.local));
-        EXPECT_EQ(CanonicalForm(arena.local, arena.distinguished),
-                  CanonicalForm(fresh.local, fresh.distinguished));
+        for (const Tuple& c : {Tuple{a}, Tuple{a, b}}) {
+          ExpectExtractionMatchesReference(g, *ggs[which], *idxs[which],
+                                           *incs[which], c, rho, scratch);
+        }
       }
     }
+  }
+}
+
+// Shapes the generators never produce: a ternary relation, a tuple with a
+// repeated element, a unary relation, a self-loop, a nullary relation,
+// rho = 0, and parameter tuples that repeat an element.
+TEST(LayoutEquivTest, ExtractionMatchesReferenceOnHandBuiltCases) {
+  Signature sig;
+  sig.AddRelation("T", 3);
+  sig.AddRelation("E", 2);
+  sig.AddRelation("P", 1);
+  sig.AddRelation("Z", 0);
+  Structure g(sig, 9);
+  g.AddTuple("T", {0, 0, 1});  // (x, x, y)
+  g.AddTuple("T", {1, 2, 3});
+  g.AddTuple("T", {5, 4, 3});
+  g.AddTuple("E", {2, 2});     // self-loop
+  g.AddTuple("E", {3, 6});
+  g.AddTuple("E", {6, 3});
+  g.AddTuple("E", {7, 6});
+  g.AddTuple("P", {1});
+  g.AddTuple("P", {6});
+  g.AddTuple("P", {8});        // isolated in the Gaifman graph
+  g.AddTuple("Z", {});
+  g.Seal();
+  const GaifmanGraph gg(g);
+  const IncidenceIndex idx(g);
+  const TupleIncidence inc(g);
+  NeighborhoodScratch scratch;
+  for (uint32_t rho = 0; rho <= 3; ++rho) {
+    for (ElemId x = 0; x < g.universe_size(); ++x) {
+      ExpectExtractionMatchesReference(g, gg, idx, inc, {x}, rho, scratch);
+      ExpectExtractionMatchesReference(g, gg, idx, inc, {x, x}, rho, scratch);
+      const ElemId y = (x + 3) % static_cast<ElemId>(g.universe_size());
+      ExpectExtractionMatchesReference(g, gg, idx, inc, {x, y, x}, rho, scratch);
+    }
+  }
+}
+
+// --- QueryIndex: flat build vs the map-based reference -----------------------
+
+void ExpectIndexMatchesReference(const Structure& g, const ParametricQuery& query,
+                                 const std::vector<Tuple>& domain,
+                                 const std::vector<Tuple>& probes) {
+  const ReferenceIndex reference(g, query, domain);
+  const QueryIndex index(g, query, domain);
+  ASSERT_EQ(index.num_params(), reference.domain.size());
+  ASSERT_EQ(index.num_active(), reference.active.size());
+  for (size_t i = 0; i < index.num_params(); ++i) {
+    EXPECT_EQ(index.param(i), reference.domain[i]);
+    const std::span<const uint32_t> row = index.ResultFor(i);
+    EXPECT_EQ(std::vector<uint32_t>(row.begin(), row.end()), reference.results[i])
+        << "row of param " << i;
+    Result<size_t> found = index.FindParam(reference.domain[i]);
+    ASSERT_TRUE(found.ok());
+    EXPECT_EQ(found.value(), reference.FindParam(reference.domain[i]).value());
+  }
+  for (size_t w = 0; w < index.num_active(); ++w) {
+    EXPECT_EQ(index.active_element(w), reference.active[w]);
+    const std::span<const uint32_t> params = index.ParamsContaining(w);
+    EXPECT_EQ(std::vector<uint32_t>(params.begin(), params.end()),
+              reference.containing[w])
+        << "inverse list of active " << w;
+    Result<size_t> found = index.FindActive(reference.active[w]);
+    ASSERT_TRUE(found.ok());
+    EXPECT_EQ(found.value(), w);
+    if (index.has_unary_actives()) {
+      EXPECT_EQ(index.ActiveIdOfElem(reference.active[w][0]), static_cast<int32_t>(w));
+    }
+  }
+  for (const Tuple& probe : probes) {
+    const std::optional<size_t> param = reference.FindParam(probe);
+    const Result<size_t> got_param = index.FindParam(probe);
+    ASSERT_EQ(got_param.ok(), param.has_value());
+    if (param) {
+      EXPECT_EQ(got_param.value(), *param);
+    } else {
+      EXPECT_EQ(got_param.status().code(), StatusCode::kNotFound);
+    }
+    const std::optional<size_t> active = reference.FindActive(probe);
+    const Result<size_t> got_active = index.FindActive(probe);
+    ASSERT_EQ(got_active.ok(), active.has_value());
+    if (active) {
+      EXPECT_EQ(got_active.value(), *active);
+    } else {
+      EXPECT_EQ(got_active.status().code(), StatusCode::kNotFound);
+    }
+  }
+}
+
+TEST(LayoutEquivTest, QueryIndexMatchesMapReferenceAcrossThreads) {
+  ThreadGuard guard;
+  Rng rng(29);
+  const Structure random = RandomBoundedDegreeGraph(400, 3, 1200, false, rng);
+  const Structure grid = GridGraph(12, 9);
+  const auto atom = AtomQuery::Adjacency("E");
+  const DistanceQuery distance(2);
+  // Each parameter u answers the edges at u as ordered pairs (shared with
+  // the other endpoint's answer), plus its first row again as a duplicate.
+  const CallbackQuery edges(
+      "edges-at", 1, 2, [](const Structure& g, const Tuple& params) {
+        std::vector<Tuple> out;
+        for (TupleRef t : g.relation(size_t{0}).tuples()) {
+          if (t[0] == params[0] || t[1] == params[0]) {
+            out.push_back({std::min(t[0], t[1]), std::max(t[0], t[1])});
+          }
+        }
+        if (!out.empty()) out.push_back(out.front());
+        return out;
+      });
+  // A domain that repeats a parameter and names elements outside the
+  // universe (the atom query answers those empty).
+  std::vector<Tuple> atom_domain = AllParams(random, 1);
+  atom_domain.push_back({5});
+  atom_domain.push_back({4000000000u});
+  const std::vector<Tuple> probes = {
+      {},  {3}, {5}, {4000000000u}, {1, 2}, {2, 1}, {0, 1, 2}, {399}, {400},
+      {7, 7}};
+  for (size_t threads : {size_t{1}, size_t{8}}) {
+    SetParallelThreads(threads);
+    SCOPED_TRACE(testing::Message() << threads << " threads");
+    ExpectIndexMatchesReference(random, *atom, atom_domain, probes);
+    ExpectIndexMatchesReference(grid, distance, AllParams(grid, 1), probes);
+    ExpectIndexMatchesReference(random, edges, AllParams(random, 1), probes);
+    // Probe the pair index with tuples it holds and tuples it does not.
+    std::vector<Tuple> pair_probes = probes;
+    for (TupleRef t : random.relation(size_t{0}).tuples()) {
+      pair_probes.push_back({t[0], t[1]});
+      if (pair_probes.size() > 60) break;
+    }
+    ExpectIndexMatchesReference(random, edges, AllParams(random, 1), pair_probes);
   }
 }
 
@@ -423,14 +609,13 @@ TEST(LayoutEquivTest, CanonCacheIdsAndStatsConsistent) {
   CanonCache& cache = CanonCache::Global();
   cache.Clear();
   const Structure grid = GridGraph(10, 9);
-  const GaifmanGraph gg(grid);
-  const IncidenceIndex idx(grid);
+  const TupleIncidence inc(grid);
   CanonKeyScratch key_scratch;
   NeighborhoodScratch nb_scratch;
   std::vector<uint32_t> ids;
   for (ElemId e = 0; e < grid.universe_size(); ++e) {
     const Neighborhood& nb =
-        ExtractNeighborhoodInto(grid, gg, idx, {e}, 2, nb_scratch);
+        ExtractNeighborhoodInto(inc, {e}, 2, nb_scratch);
     const uint32_t id = cache.CanonicalId(nb.local, nb.distinguished, key_scratch);
     // The interned string behind the id is the true canonical form.
     EXPECT_EQ(cache.CanonicalOfId(id),

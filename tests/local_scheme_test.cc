@@ -168,6 +168,19 @@ TEST(LocalSchemeTest, InvalidEpsilonRejected) {
   EXPECT_FALSE(LocalScheme::Plan(index, opts).ok());
 }
 
+TEST(LocalSchemeTest, OutOfUniverseDomainRejected) {
+  // The atom query answers a parameter outside the universe with an empty
+  // set, so the index accepts it; typing its neighborhood must not.
+  Structure g = Figure1Instance();
+  auto query = AtomQuery::Adjacency("R");
+  std::vector<Tuple> domain = AllParams(g, 1);
+  domain.push_back({4000000000u});
+  QueryIndex index(g, *query, std::move(domain));
+  auto plan = LocalScheme::Plan(index, DefaultOptions());
+  ASSERT_FALSE(plan.ok());
+  EXPECT_EQ(plan.status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST(LocalSchemeTest, DistanceQueryPreserved) {
   Rng rng(82);
   Structure g = RandomBoundedDegreeGraph(150, 3, 400, true, rng);

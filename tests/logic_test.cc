@@ -8,6 +8,7 @@
 #include "qpwm/logic/locality.h"
 #include "qpwm/logic/parser.h"
 #include "qpwm/structure/generators.h"
+#include "qpwm/util/str.h"
 
 namespace qpwm {
 namespace {
@@ -165,7 +166,7 @@ TEST(ParserTest, IffChainWithinTheBudgetParsesAsBefore) {
   // a <-> b desugars to (~a | b) & (~b | a), left to right along the chain.
   FormulaPtr want = MakeAtom("E", {"x0", "y"});
   for (size_t i = 1; i <= 8; ++i) {
-    FormulaPtr r = MakeAtom("E", {"x" + std::to_string(i), "y"});
+    FormulaPtr r = MakeAtom("E", {StrCat("x", i), "y"});
     FormulaPtr fwd = MakeOr(MakeNot(want->Clone()), r->Clone());
     FormulaPtr bwd = MakeOr(MakeNot(std::move(r)), std::move(want));
     want = MakeAnd(std::move(fwd), std::move(bwd));

@@ -5,6 +5,8 @@
 // soundness rests on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include <atomic>
 #include <map>
 #include <numeric>
@@ -127,12 +129,11 @@ TEST(ParallelPrimitives, NestedParallelismRunsInline) {
 TEST(CanonCacheTest, MatchesUncachedCanonicalForm) {
   Rng rng(77);
   Structure g = RandomBoundedDegreeGraph(400, 3, 1200, false, rng);
-  GaifmanGraph gg(g);
-  IncidenceIndex idx(g);
+  TupleIncidence inc(g);
   CanonCache cache;
   for (uint32_t rho : {1u, 2u}) {
     for (ElemId e = 0; e < g.universe_size(); ++e) {
-      Neighborhood nb = ExtractNeighborhood(g, gg, idx, Tuple{e}, rho);
+      Neighborhood nb = ExtractNeighborhood(inc, Tuple{e}, rho);
       ASSERT_EQ(cache.Canonical(nb.local, nb.distinguished),
                 CanonicalForm(nb.local, nb.distinguished))
           << "element " << e << " rho " << rho;
@@ -150,11 +151,10 @@ TEST(CanonCacheTest, KeyAgreesOnIsomorphicNeighborhoods) {
   // of same-type neighborhoods in a small instance gets one cache entry.
   Rng rng(78);
   Structure g = RandomBoundedDegreeGraph(300, 3, 900, false, rng);
-  GaifmanGraph gg(g);
-  IncidenceIndex idx(g);
+  TupleIncidence inc(g);
   std::map<std::string, std::string> canon_by_key;
   for (ElemId e = 0; e < g.universe_size(); ++e) {
-    Neighborhood nb = ExtractNeighborhood(g, gg, idx, Tuple{e}, 2);
+    Neighborhood nb = ExtractNeighborhood(inc, Tuple{e}, 2);
     std::string key = CanonCacheKey(nb.local, nb.distinguished);
     std::string canon = CanonicalForm(nb.local, nb.distinguished);
     auto [it, inserted] = canon_by_key.emplace(std::move(key), canon);
@@ -213,7 +213,7 @@ TEST(ParallelPlanTest, QueryIndexIdenticalAcrossThreads) {
       ASSERT_EQ(parallel_index.active_element(w), reference.active_element(w));
     }
     for (size_t a = 0; a < reference.num_params(); ++a) {
-      ASSERT_EQ(parallel_index.ResultFor(a), reference.ResultFor(a));
+      ASSERT_TRUE(std::ranges::equal(parallel_index.ResultFor(a), reference.ResultFor(a)));
     }
   }
 }

@@ -250,9 +250,8 @@ TEST(GeneratorsTest, RandomWeightsInRange) {
 
 TEST(NeighborhoodTest, ExtractPathCenter) {
   Structure s = PathGraph(7, false);
-  GaifmanGraph g(s);
-  IncidenceIndex idx(s);
-  Neighborhood nb = ExtractNeighborhood(s, g, idx, Tuple{3}, 1);
+  TupleIncidence inc(s);
+  Neighborhood nb = ExtractNeighborhood(inc, Tuple{3}, 1);
   EXPECT_EQ(nb.local.universe_size(), 3u);  // {2, 3, 4}
   EXPECT_EQ(nb.global_ids, (std::vector<ElemId>{2, 3, 4}));
   // Tuples fully inside: (2,3) and (3,4).
@@ -263,9 +262,8 @@ TEST(NeighborhoodTest, ExtractPathCenter) {
 
 TEST(NeighborhoodTest, BoundaryTuplesExcluded) {
   Structure s = PathGraph(4, false);
-  GaifmanGraph g(s);
-  IncidenceIndex idx(s);
-  Neighborhood nb = ExtractNeighborhood(s, g, idx, Tuple{0}, 1);
+  TupleIncidence inc(s);
+  Neighborhood nb = ExtractNeighborhood(inc, Tuple{0}, 1);
   // Sphere {0, 1}; only tuple (0,1) is inside — (1,2) crosses the boundary.
   EXPECT_EQ(nb.local.universe_size(), 2u);
   EXPECT_EQ(nb.local.relation(size_t{0}).size(), 1u);
