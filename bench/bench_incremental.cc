@@ -5,19 +5,19 @@
 //     type-preserving edits and flags type-creating ones, and report the
 //     survival of the embedded pairs.
 //
-// --json[=PATH] additionally writes/merges the "incremental" section of
-// BENCH_incremental.json (same read-modify-write contract as the other
-// bench JSON artifacts), so CI can baseline the Theorem 7/8 numbers.
+// --json[=PATH] additionally writes BENCH_incremental.json (the results
+// under "incremental", with a top-level schema_version), so CI can baseline
+// the Theorem 7/8 numbers.
 #include <iostream>
 #include <optional>
 #include <string>
 
-#include "bench_json.h"
 #include "qpwm/core/distortion.h"
 #include "qpwm/core/incremental.h"
 #include "qpwm/core/local_scheme.h"
 #include "qpwm/logic/query.h"
 #include "qpwm/structure/generators.h"
+#include "qpwm/util/json.h"
 #include "qpwm/util/random.h"
 #include "qpwm/util/str.h"
 #include "qpwm/util/table.h"
@@ -42,6 +42,8 @@ int main(int argc, char** argv) {
 
   JsonWriter json;
   json.BeginObject();
+  json.Key("schema_version").Int(1);
+  json.Key("incremental").BeginObject();
 
   // Theorem 7: weights-only update storm.
   bool all_detected = true;
@@ -163,13 +165,14 @@ int main(int argc, char** argv) {
 
   json.Key("all_rounds_detected").Bool(all_detected);
   json.EndObject();
+  json.EndObject();
 
   if (json_path) {
-    if (!UpdateBenchJsonSection(*json_path, "incremental", json.str())) {
+    if (!WriteJsonFile(*json_path, json)) {
       std::cerr << "FAIL: cannot write " << *json_path << "\n";
       return 1;
     }
-    std::cout << "wrote section \"incremental\" to " << *json_path << "\n";
+    std::cout << "wrote " << *json_path << "\n";
   }
   return all_detected ? 0 : 1;
 }

@@ -8,11 +8,11 @@
 #include <optional>
 #include <string>
 
-#include "bench_json.h"
 #include "qpwm/core/distortion.h"
 #include "qpwm/core/local_scheme.h"
 #include "qpwm/logic/query.h"
 #include "qpwm/structure/generators.h"
+#include "qpwm/util/json.h"
 #include "qpwm/util/random.h"
 #include "qpwm/util/str.h"
 #include "qpwm/util/table.h"
@@ -81,6 +81,8 @@ int main(int argc, char** argv) {
 
   JsonWriter json;
   json.BeginObject();
+  json.Key("schema_version").Int(1);
+  json.Key("local_scheme").BeginObject();
   json.Key("sweep").BeginArray();
   TextTable sweep("Capacity and distortion vs |U|, k, epsilon (query E(u,v))");
   sweep.SetHeader({"|U|", "k", "1/eps", "ntp", "pairs", "bits l", "bound", "budget",
@@ -109,6 +111,7 @@ int main(int argc, char** argv) {
     }
   }
   json.EndArray();
+  json.EndObject();
   json.EndObject();
   sweep.Print(std::cout);
   std::cout << "shape check: bits grow with |U| at fixed (k, eps); the verified "
@@ -170,11 +173,11 @@ int main(int argc, char** argv) {
   }
 
   if (json_path) {
-    if (!UpdateBenchJsonSection(*json_path, "local_scheme", json.str())) {
+    if (!WriteJsonFile(*json_path, json)) {
       std::cerr << "FAIL: cannot write " << *json_path << "\n";
       return 1;
     }
-    std::cout << "wrote section \"local_scheme\" to " << *json_path << "\n";
+    std::cout << "wrote " << *json_path << "\n";
   }
   return 0;
 }

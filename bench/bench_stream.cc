@@ -17,16 +17,15 @@
 // detect pass crashes out, or — unless --no-require-match — if the final
 // fault-free audit is not a MATCH.
 //
-// --json[=PATH] writes/merges the "stream_soak" section of
-// BENCH_stream.json.
+// --json[=PATH] writes BENCH_stream.json: the run's config and report under
+// "stream_soak", with a top-level schema_version.
 #include <chrono>
+#include <cstdio>
 #include <iostream>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <vector>
 
-#include "bench_json.h"
 #include "qpwm/coding/coded_watermark.h"
 #include "qpwm/core/adversarial.h"
 #include "qpwm/core/local_scheme.h"
@@ -36,6 +35,7 @@
 #include "qpwm/stream/stream_server.h"
 #include "qpwm/stream/update.h"
 #include "qpwm/structure/generators.h"
+#include "qpwm/util/json.h"
 #include "qpwm/util/parallel.h"
 #include "qpwm/util/random.h"
 #include "qpwm/util/str.h"
@@ -227,21 +227,32 @@ int main(int argc, char** argv) {
   }
 
   if (json_path) {
-    std::ostringstream section;
-    section << "{\"config\":{\"n\":" << n << ",\"updates\":" << updates
-            << ",\"window\":" << window << ",\"hostile_frac\":"
-            << FmtFixed4(hostile) << ",\"seed\":" << seed
-            << ",\"redundancy\":" << redundancy << ",\"codec\":\""
-            << codec.value()->Name() << "\",\"epsilon\":" << FmtFixed4(epsilon)
-            << ",\"pairs\":" << scheme.CapacityBits()
-            << ",\"channel_bits\":" << adv.CapacityBits()
-            << ",\"payload_bits\":" << coded.PayloadBits()
-            << "},\"report\":" << StreamReportToJson(report) << "}";
-    if (!UpdateBenchJsonSection(*json_path, "stream_soak", section.str())) {
+    JsonWriter w;
+    w.BeginObject();
+    w.Key("schema_version").Int(1);
+    w.Key("stream_soak").BeginObject();
+    w.Key("config").BeginObject();
+    w.Key("n").UInt(n);
+    w.Key("updates").UInt(updates);
+    w.Key("window").UInt(window);
+    w.Key("hostile_frac").Fixed4(hostile);
+    w.Key("seed").UInt(seed);
+    w.Key("redundancy").UInt(redundancy);
+    w.Key("codec").String(codec.value()->Name());
+    w.Key("epsilon").Fixed4(epsilon);
+    w.Key("pairs").UInt(scheme.CapacityBits());
+    w.Key("channel_bits").UInt(adv.CapacityBits());
+    w.Key("payload_bits").UInt(coded.PayloadBits());
+    w.EndObject();
+    w.Key("report");
+    WriteStreamReportJson(w, report);
+    w.EndObject();
+    w.EndObject();
+    if (!WriteJsonFile(*json_path, w)) {
       std::cerr << "FAIL: cannot write " << *json_path << "\n";
       return 1;
     }
-    std::cout << "wrote section \"stream_soak\" to " << *json_path << "\n";
+    std::cout << "wrote " << *json_path << "\n";
   }
   return 0;
 }

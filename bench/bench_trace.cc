@@ -15,9 +15,9 @@
 // fails the run. Timings (candidates/sec) are reported but excluded from the
 // comparison — they are the only nondeterministic numbers in the file.
 //
-// --json[=PATH] writes/merges the "trace_campaign" section of
-// BENCH_trace.json (artifact-only per the baseline policy: uploaded, never
-// committed).
+// --json[=PATH] writes BENCH_trace.json: the campaign under
+// "trace_campaign", with a top-level schema_version (artifact-only per the
+// baseline policy: uploaded, never committed).
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -30,7 +30,6 @@
 #include <thread>
 #include <vector>
 
-#include "bench_json.h"
 #include "qpwm/coding/coded_watermark.h"
 #include "qpwm/coding/codec.h"
 #include "qpwm/coding/fingerprint.h"
@@ -39,6 +38,7 @@
 #include "qpwm/core/local_scheme.h"
 #include "qpwm/logic/query.h"
 #include "qpwm/structure/generators.h"
+#include "qpwm/util/json.h"
 #include "qpwm/util/parallel.h"
 #include "qpwm/util/random.h"
 #include "qpwm/util/str.h"
@@ -405,6 +405,8 @@ int main(int argc, char** argv) {
   if (json_path) {
     JsonWriter w;
     w.BeginObject();
+    w.Key("schema_version").Int(1);
+    w.Key("trace_campaign").BeginObject();
     w.Key("instance").BeginObject();
     w.Key("n").UInt(n);
     w.Key("redundancy").UInt(redundancy);
@@ -499,11 +501,12 @@ int main(int argc, char** argv) {
     w.Key("pass").Bool(pass);
     w.EndObject();
     w.EndObject();
-    if (!UpdateBenchJsonSection(*json_path, "trace_campaign", w.str())) {
+    w.EndObject();
+    if (!WriteJsonFile(*json_path, w)) {
       std::cerr << "FAIL: cannot write " << *json_path << "\n";
       return 1;
     }
-    std::cout << "wrote section \"trace_campaign\" to " << *json_path << "\n";
+    std::cout << "wrote " << *json_path << "\n";
   }
 
   if (!pass) {

@@ -178,23 +178,6 @@ Result<std::unique_ptr<CollusionAttack>> MakeCollusionAttack(
   return Status::InvalidArgument("unknown collusion attack: " + spec);
 }
 
-Result<WeightMap> AveragingCollusionAttack(
-    const std::vector<const WeightMap*>& copies) {
-  Rng rng(kDefaultAttackSeed);
-  return AveragingCollusion().Forge(copies, rng);
-}
-
-Result<WeightMap> MedianCollusionAttack(
-    const std::vector<const WeightMap*>& copies) {
-  Rng rng(kDefaultAttackSeed);
-  return MedianCollusion().Forge(copies, rng);
-}
-
-Result<WeightMap> MinMaxCollusionAttack(const std::vector<const WeightMap*>& copies,
-                                        Rng& rng) {
-  return MinMaxCollusion().Forge(copies, rng);
-}
-
 void TamperedAnswerServer::Tamper(const Tuple& params, AnswerSet& rows) const {
   if (!erased_.empty()) {
     rows.erase(std::remove_if(rows.begin(), rows.end(),

@@ -151,16 +151,6 @@ const std::vector<std::string>& KnownCollusionSpecs();
 [[nodiscard]] Result<std::unique_ptr<CollusionAttack>> MakeCollusionAttack(
     const std::string& spec);
 
-/// Free-function form of AveragingCollusion (rng-free strategy, fixed seed).
-[[nodiscard]] Result<WeightMap> AveragingCollusionAttack(const std::vector<const WeightMap*>& copies);
-
-/// Free-function form of MedianCollusion.
-[[nodiscard]] Result<WeightMap> MedianCollusionAttack(const std::vector<const WeightMap*>& copies);
-
-/// Free-function form of MinMaxCollusion.
-[[nodiscard]] Result<WeightMap> MinMaxCollusionAttack(const std::vector<const WeightMap*>& copies,
-                                        Rng& rng);
-
 // --- Tier 2: structural attacks --------------------------------------------
 
 /// A suspect server whose data was structurally tampered with: erased

@@ -1,49 +1,37 @@
 #include "qpwm/stream/report.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <sstream>
 
 #include "qpwm/coding/verdict.h"
+#include "qpwm/util/json.h"
 
 namespace qpwm {
 namespace {
 
-/// Fixed-precision float rendering so report bytes never depend on locale or
-/// shortest-round-trip formatting quirks.
-std::string FmtFixed(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.4f", v);
-  return buf;
-}
-
-void AppendKindCounts(std::ostringstream& out, const char* key,
-                      const std::vector<uint64_t>& counts) {
-  out << "\"" << key << "\":{";
-  bool first = true;
+void WriteKindCounts(JsonWriter& w, const char* key,
+                     const std::vector<uint64_t>& counts) {
+  w.Key(key).BeginObject();
   for (size_t k = 0; k < counts.size() && k < kNumUpdateKinds; ++k) {
     if (counts[k] == 0) continue;
-    if (!first) out << ",";
-    first = false;
-    out << "\"" << UpdateKindName(static_cast<UpdateKind>(k))
-        << "\":" << counts[k];
+    w.Key(UpdateKindName(static_cast<UpdateKind>(k))).UInt(counts[k]);
   }
-  out << "}";
+  w.EndObject();
 }
 
-void AppendOutcome(std::ostringstream& out, const DetectOutcome& o) {
-  out << "{\"pass\":" << o.pass << ",\"epoch\":" << o.epoch
-      << ",\"gave_up\":" << (o.gave_up ? "true" : "false")
-      << ",\"attempts\":" << o.attempts << ",\"ticks\":" << o.ticks;
+void WriteOutcome(JsonWriter& w, const DetectOutcome& o) {
+  w.BeginObject();
+  w.Key("pass").UInt(o.pass).Key("epoch").UInt(o.epoch);
+  w.Key("gave_up").Bool(o.gave_up);
+  w.Key("attempts").UInt(o.attempts).Key("ticks").UInt(o.ticks);
   if (!o.gave_up) {
-    out << ",\"verdict\":\"" << VerdictKindName(o.verdict) << "\""
-        << ",\"payload_correct\":" << (o.payload_correct ? "true" : "false")
-        << ",\"log10_fp_bound\":" << FmtFixed(o.log10_fp_bound)
-        << ",\"bits_erased\":" << o.bits_erased
-        << ",\"pairs_erased\":" << o.pairs_erased
-        << ",\"votes_cast\":" << o.votes_cast;
+    w.Key("verdict").String(VerdictKindName(o.verdict));
+    w.Key("payload_correct").Bool(o.payload_correct);
+    w.Key("log10_fp_bound").Fixed4(o.log10_fp_bound);
+    w.Key("bits_erased").UInt(o.bits_erased);
+    w.Key("pairs_erased").UInt(o.pairs_erased);
+    w.Key("votes_cast").UInt(o.votes_cast);
   }
-  out << "}";
+  w.EndObject();
 }
 
 }  // namespace
@@ -90,50 +78,60 @@ StreamReport BuildStreamReport(const UpdateGenerator& generator,
   return r;
 }
 
-std::string StreamReportToJson(const StreamReport& r) {
-  std::ostringstream out;
-  out << "{\"traffic\":{\"generated\":" << r.generated
-      << ",\"hostile_generated\":" << r.hostile_generated << ",";
-  AppendKindCounts(out, "generated_by_kind", r.generated_by_kind);
-  out << "},";
+void WriteStreamReportJson(JsonWriter& w, const StreamReport& r) {
+  w.BeginObject();
+  w.Key("traffic").BeginObject();
+  w.Key("generated").UInt(r.generated);
+  w.Key("hostile_generated").UInt(r.hostile_generated);
+  WriteKindCounts(w, "generated_by_kind", r.generated_by_kind);
+  w.EndObject();
 
   const StreamCounters& c = r.counters;
-  out << "\"admission\":{\"submitted\":" << c.submitted
-      << ",\"applied\":" << c.applied << ",\"rejected\":" << c.rejected
-      << ",\"rejected_by_code\":{";
-  bool first = true;
+  w.Key("admission").BeginObject();
+  w.Key("submitted").UInt(c.submitted);
+  w.Key("applied").UInt(c.applied);
+  w.Key("rejected").UInt(c.rejected);
+  w.Key("rejected_by_code").BeginObject();
   for (size_t i = 0; i < kNumStatusCodes; ++i) {
     if (c.rejected_by_code[i] == 0) continue;
-    if (!first) out << ",";
-    first = false;
-    out << "\"" << StatusCodeName(static_cast<StatusCode>(i))
-        << "\":" << c.rejected_by_code[i];
+    w.Key(StatusCodeName(static_cast<StatusCode>(i))).UInt(c.rejected_by_code[i]);
   }
-  out << "},";
-  AppendKindCounts(out, "applied_by_kind",
-                   std::vector<uint64_t>(c.applied_by_kind.begin(),
-                                         c.applied_by_kind.end()));
-  out << ",";
-  AppendKindCounts(out, "rejected_by_kind",
-                   std::vector<uint64_t>(c.rejected_by_kind.begin(),
-                                         c.rejected_by_kind.end()));
-  out << ",\"fallback_epochs\":" << c.fallback_epochs
-      << ",\"epochs_sealed\":" << c.epochs_sealed
-      << ",\"accounted\":" << (r.Accounted() ? "true" : "false") << "},";
+  w.EndObject();
+  WriteKindCounts(w, "applied_by_kind",
+                  std::vector<uint64_t>(c.applied_by_kind.begin(),
+                                        c.applied_by_kind.end()));
+  WriteKindCounts(w, "rejected_by_kind",
+                  std::vector<uint64_t>(c.rejected_by_kind.begin(),
+                                        c.rejected_by_kind.end()));
+  w.Key("fallback_epochs").UInt(c.fallback_epochs);
+  w.Key("epochs_sealed").UInt(c.epochs_sealed);
+  w.Key("accounted").Bool(r.Accounted());
+  w.EndObject();
 
-  out << "\"detection\":{\"passes_completed\":" << r.passes_completed
-      << ",\"retried\":" << r.retried << ",\"gave_up\":" << r.gave_up
-      << ",\"latency_ticks\":{\"p50\":" << r.latency.p50
-      << ",\"p90\":" << r.latency.p90 << ",\"p99\":" << r.latency.p99
-      << "},\"passes\":[";
-  for (size_t i = 0; i < r.passes.size(); ++i) {
-    if (i > 0) out << ",";
-    AppendOutcome(out, r.passes[i]);
-  }
-  out << "],\"final_audit\":";
-  AppendOutcome(out, r.final_audit);
-  out << "}}";
-  return out.str();
+  w.Key("detection").BeginObject();
+  w.Key("passes_completed").UInt(r.passes_completed);
+  w.Key("retried").UInt(r.retried);
+  w.Key("gave_up").UInt(r.gave_up);
+  w.Key("latency_ticks").BeginObject();
+  w.Key("p50").UInt(r.latency.p50);
+  w.Key("p90").UInt(r.latency.p90);
+  w.Key("p99").UInt(r.latency.p99);
+  w.EndObject();
+  w.Key("passes").BeginArray();
+  for (const DetectOutcome& o : r.passes) WriteOutcome(w, o);
+  w.EndArray();
+  w.Key("final_audit");
+  WriteOutcome(w, r.final_audit);
+  w.EndObject();
+  w.EndObject();
+}
+
+std::string StreamReportToJson(const StreamReport& r) {
+  JsonWriter w;
+  WriteStreamReportJson(w, r);
+  // A copy, not a move: the copy is allocated at the document's exact size,
+  // while the writer's buffer carries the slack of its geometric growth.
+  return std::string(w.str());
 }
 
 }  // namespace qpwm

@@ -18,6 +18,8 @@
 
 namespace qpwm {
 
+class JsonWriter;
+
 struct TickPercentiles {
   uint64_t p50 = 0;
   uint64_t p90 = 0;
@@ -60,7 +62,11 @@ StreamReport BuildStreamReport(const UpdateGenerator& generator,
                                const EpochDetector& detector,
                                const DetectOutcome& final_audit);
 
-/// Deterministic JSON rendering (stable key order, fixed float formatting).
+/// Deterministic JSON rendering (stable key order, fixed float formatting),
+/// written as one object value into `w`.
+void WriteStreamReportJson(JsonWriter& w, const StreamReport& report);
+
+/// The same object as a standalone string, sized exactly to its contents.
 std::string StreamReportToJson(const StreamReport& report);
 
 }  // namespace qpwm

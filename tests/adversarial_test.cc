@@ -138,10 +138,12 @@ TEST(AdversarialTest, CollusionAveragingDegradesDeltas) {
   WeightMap copy1 = adv.Embed(s.weights, msg);
   WeightMap copy2 = adv.Embed(s.weights, inverse);
 
-  WeightMap self_avg = AveragingCollusionAttack({&copy1, &copy1}).ValueOrDie();
+  const AveragingCollusion averaging;
+  Rng rng(1);  // averaging is rng-free
+  WeightMap self_avg = averaging.Forge({&copy1, &copy1}, rng).ValueOrDie();
   EXPECT_TRUE(self_avg == copy1);
 
-  WeightMap averaged = AveragingCollusionAttack({&copy1, &copy2}).ValueOrDie();
+  WeightMap averaged = averaging.Forge({&copy1, &copy2}, rng).ValueOrDie();
   // Antipodal +1/-1 on message-carrying pairs cancel exactly; only the
   // constant padding pairs beyond the last group may keep a +-1 residue.
   EXPECT_LE(averaged.LocalDistortion(s.weights), 1);
@@ -223,7 +225,7 @@ TEST(AdversarialTest, WeightOnlyAttacksNeverReportErasures) {
       UniformNoiseAttack(marked, 2, rng),
       RoundingAttack(marked, 3),
       GuessingPairAttack(marked, *s.index, 10, rng),
-      AveragingCollusionAttack({&marked, &marked}).ValueOrDie(),
+      AveragingCollusion().Forge({&marked, &marked}, rng).ValueOrDie(),
   };
   for (const WeightMap& w : attacked) {
     HonestServer server(*s.index, w);

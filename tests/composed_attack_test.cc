@@ -186,13 +186,14 @@ TEST(ComposedAttackTest, MedianCollusionTakesLowerMedian) {
   WeightMap a = SmallMap({10, 5, 7});
   WeightMap b = SmallMap({12, 5, 1});
   WeightMap c = SmallMap({11, 9, 4});
-  WeightMap median = MedianCollusionAttack({&a, &b, &c}).ValueOrDie();
+  Rng rng(1);  // median is rng-free
+  WeightMap median = MedianCollusion().Forge({&a, &b, &c}, rng).ValueOrDie();
   EXPECT_EQ(median.GetElem(0), 11);
   EXPECT_EQ(median.GetElem(1), 5);
   EXPECT_EQ(median.GetElem(2), 4);
 
   // Even count: the lower of the two middle values, deterministically.
-  WeightMap even = MedianCollusionAttack({&a, &b}).ValueOrDie();
+  WeightMap even = MedianCollusion().Forge({&a, &b}, rng).ValueOrDie();
   EXPECT_EQ(even.GetElem(0), 10);
   EXPECT_EQ(even.GetElem(2), 1);
 }
@@ -202,8 +203,9 @@ TEST(ComposedAttackTest, MedianKillsSingleCopyDeltas) {
   // property that makes median collusion stronger than averaging.
   WeightMap clean = SmallMap({100, 200});
   WeightMap marked = SmallMap({101, 199});
+  Rng rng(1);
   WeightMap median =
-      MedianCollusionAttack({&marked, &clean, &clean}).ValueOrDie();
+      MedianCollusion().Forge({&marked, &clean, &clean}, rng).ValueOrDie();
   EXPECT_EQ(median.GetElem(0), 100);
   EXPECT_EQ(median.GetElem(1), 200);
 }
@@ -212,7 +214,7 @@ TEST(ComposedAttackTest, MinMaxCollusionPicksExtremes) {
   WeightMap a = SmallMap({1, 9, 5, 5});
   WeightMap b = SmallMap({3, 7, 2, 8});
   Rng rng(17);
-  WeightMap picked = MinMaxCollusionAttack({&a, &b}, rng).ValueOrDie();
+  WeightMap picked = MinMaxCollusion().Forge({&a, &b}, rng).ValueOrDie();
   EXPECT_TRUE(picked.GetElem(0) == 1 || picked.GetElem(0) == 3);
   EXPECT_TRUE(picked.GetElem(1) == 7 || picked.GetElem(1) == 9);
   EXPECT_TRUE(picked.GetElem(2) == 2 || picked.GetElem(2) == 5);
@@ -227,32 +229,18 @@ TEST(ComposedAttackTest, AllCollusionVariantsRejectBadCopySets) {
   auto check = [](const Status& status) {
     EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
   };
-  check(AveragingCollusionAttack({}).status());
-  check(MedianCollusionAttack({}).status());
-  check(MinMaxCollusionAttack({}, rng).status());
-  check(AveragingCollusionAttack({&a, &other}).status());
-  check(MedianCollusionAttack({&a, &other}).status());
-  check(MinMaxCollusionAttack({&a, &other}, rng).status());
+  const AveragingCollusion averaging;
+  const MedianCollusion median;
+  const MinMaxCollusion minmax;
+  check(averaging.Forge({}, rng).status());
+  check(median.Forge({}, rng).status());
+  check(minmax.Forge({}, rng).status());
+  check(averaging.Forge({&a, &other}, rng).status());
+  check(median.Forge({&a, &other}, rng).status());
+  check(minmax.Forge({&a, &other}, rng).status());
   // The mismatch is caught wherever it sits in the copy list.
-  check(AveragingCollusionAttack({&a, &a, &other}).status());
-  check(MedianCollusionAttack({&a, &a, &other}).status());
-}
-
-TEST(ComposedAttackTest, CollusionInterfaceMatchesFreeFunctions) {
-  WeightMap a = SmallMap({10, 5, 7, 101});
-  WeightMap b = SmallMap({12, 5, 1, 199});
-  WeightMap c = SmallMap({11, 9, 4, 150});
-  const std::vector<const WeightMap*> copies = {&a, &b, &c};
-
-  Rng unused(1);
-  EXPECT_EQ(AveragingCollusion().Forge(copies, unused).ValueOrDie(),
-            AveragingCollusionAttack(copies).ValueOrDie());
-  EXPECT_EQ(MedianCollusion().Forge(copies, unused).ValueOrDie(),
-            MedianCollusionAttack(copies).ValueOrDie());
-  Rng via_class(17);
-  Rng via_free(17);
-  EXPECT_EQ(MinMaxCollusion().Forge(copies, via_class).ValueOrDie(),
-            MinMaxCollusionAttack(copies, via_free).ValueOrDie());
+  check(averaging.Forge({&a, &a, &other}, rng).status());
+  check(median.Forge({&a, &a, &other}, rng).status());
 }
 
 TEST(ComposedAttackTest, InterleavingCopiesSegmentsWholeFromOneMember) {

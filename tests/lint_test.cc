@@ -389,21 +389,6 @@ TEST(LintIndex, ViewTypesAreBuiltinsPlusMarkedClasses) {
   EXPECT_TRUE(HasRule(fs, kViewEscape));
 }
 
-TEST(LintIndex, ContextDigestIgnoresLineShiftsButSeesFacts) {
-  auto digest_of = [](std::string_view src) {
-    LintContext ctx;
-    CollectContext(ScanSource("a.h", src), ctx);
-    FinalizeContext(ctx);
-    return ContextDigest(ctx);
-  };
-  const uint64_t base = digest_of("class C { int n_; };\n");
-  // A pure line shift (leading blank lines) does not invalidate findings.
-  EXPECT_EQ(base, digest_of("\n\n\nclass C { int n_; };\n"));
-  // A new annotation is a semantic change and must alter the digest.
-  EXPECT_NE(base, digest_of("class C { std::mutex m_;\n"
-                            "          int n_ QPWM_GUARDED_BY(m_); };\n"));
-}
-
 // --- lifetime: view-escape ---------------------------------------------------
 
 TEST(LintRules, ViewMemberWithoutAnnotationFlagged) {

@@ -296,21 +296,22 @@ TEST(StructuralAttackTest, StrictDetectionStillFailsOnErasure) {
 TEST(StructuralAttackTest, CollusionDomainMismatchIsAnError) {
   Fixture s(100, 41);
   WeightMap other(1, s.g.universe_size() + 5);
-  auto averaged = AveragingCollusionAttack({&s.weights, &other});
+  const AveragingCollusion averaging;
+  Rng rng(1);  // averaging is rng-free
+  auto averaged = averaging.Forge({&s.weights, &other}, rng);
   ASSERT_FALSE(averaged.ok());
   EXPECT_EQ(averaged.status().code(), StatusCode::kInvalidArgument);
-  auto empty = AveragingCollusionAttack({});
+  auto empty = averaging.Forge({}, rng);
   EXPECT_FALSE(empty.ok());
   EXPECT_EQ(empty.status().code(), StatusCode::kInvalidArgument);
 
   // The mismatch is rejected wherever it sits in the copy list, and a
   // single-copy "collusion" of the right domain still succeeds (it is the
   // identity average).
-  auto late_mismatch =
-      AveragingCollusionAttack({&s.weights, &s.weights, &other});
+  auto late_mismatch = averaging.Forge({&s.weights, &s.weights, &other}, rng);
   ASSERT_FALSE(late_mismatch.ok());
   EXPECT_EQ(late_mismatch.status().code(), StatusCode::kInvalidArgument);
-  auto single = AveragingCollusionAttack({&s.weights});
+  auto single = averaging.Forge({&s.weights}, rng);
   ASSERT_TRUE(single.ok());
   bool same = true;
   s.weights.ForEach([&](const Tuple& t, Weight w) {

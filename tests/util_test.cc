@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
 #include <unordered_set>
 
 #include "qpwm/util/bitvec.h"
 #include "qpwm/util/hash.h"
+#include "qpwm/util/json.h"
 #include "qpwm/util/random.h"
 #include "qpwm/util/status.h"
 #include "qpwm/util/str.h"
@@ -248,6 +250,69 @@ TEST(TableTest, RendersAlignedRows) {
 TEST(TableTest, FmtDouble) {
   EXPECT_EQ(FmtDouble(1.23456, 2), "1.23");
   EXPECT_EQ(FmtDouble(2.0, 0), "2");
+}
+
+// --- JsonWriter --------------------------------------------------------------
+
+TEST(JsonWriterTest, NestedContainersPlaceCommasBetweenSiblingsOnly) {
+  JsonWriter w;
+  w.BeginObject();
+  w.Key("a").UInt(1);
+  w.Key("empty").BeginArray().EndArray();
+  w.Key("list").BeginArray();
+  w.Int(-2).BeginObject().Key("x").Bool(true).Key("y").Bool(false).EndObject();
+  w.BeginArray().EndArray();
+  w.String("s");
+  w.EndArray();
+  w.Key("inner").BeginObject().Key("k").BeginObject().EndObject().EndObject();
+  w.EndObject();
+  EXPECT_EQ(w.str(),
+            R"({"a":1,"empty":[],"list":[-2,{"x":true,"y":false},[],"s"],)"
+            R"("inner":{"k":{}}})");
+}
+
+TEST(JsonWriterTest, EscapesQuotesBackslashesAndEveryControlByte) {
+  JsonWriter w;
+  w.BeginArray().String("say \"hi\" \\ done").String("a\nb\tc\rd");
+  std::string controls;
+  for (int c = 0; c < 0x20; ++c) controls += static_cast<char>(c);
+  w.String(controls).String("\x7f\xc3\xa9").EndArray();
+  EXPECT_EQ(w.str(),
+            R"(["say \"hi\" \\ done","a\nb\tc\u000dd",)"
+            R"("\u0000\u0001\u0002\u0003\u0004\u0005\u0006\u0007\u0008\t\n)"
+            R"(\u000b\u000c\u000d\u000e\u000f\u0010\u0011\u0012\u0013\u0014)"
+            R"(\u0015\u0016\u0017\u0018\u0019\u001a\u001b\u001c\u001d\u001e)"
+            R"(\u001f",)"
+            "\"\x7f\xc3\xa9\"]");
+  // Object keys go through the same escaping.
+  JsonWriter k;
+  k.BeginObject().Key("a\rb").UInt(0).EndObject();
+  EXPECT_EQ(k.str(), R"({"a\u000db":0})");
+}
+
+TEST(JsonWriterTest, NonFiniteDoublesAreNull) {
+  JsonWriter w;
+  w.BeginArray();
+  w.Double(std::numeric_limits<double>::infinity());
+  w.Double(-std::numeric_limits<double>::infinity());
+  w.Double(std::numeric_limits<double>::quiet_NaN());
+  w.Fixed4(std::numeric_limits<double>::quiet_NaN());
+  w.Fixed4(-std::numeric_limits<double>::infinity());
+  w.EndArray();
+  EXPECT_EQ(w.str(), "[null,null,null,null,null]");
+}
+
+TEST(JsonWriterTest, NumberFormatsMatchPrintf) {
+  JsonWriter w;
+  w.BeginArray();
+  // Double: printf "%.6g", the iostream default.
+  w.Double(0.1).Double(1.0).Double(1234567.0).Double(1e-7).Double(-0.5);
+  // Fixed4: printf "%.4f".
+  w.Fixed4(0.0).Fixed4(2.0).Fixed4(-12.34567).Fixed4(1e-5).Fixed4(123456789.0);
+  w.EndArray();
+  EXPECT_EQ(w.str(),
+            "[0.1,1,1.23457e+06,1e-07,-0.5,"
+            "0.0000,2.0000,-12.3457,0.0000,123456789.0000]");
 }
 
 }  // namespace

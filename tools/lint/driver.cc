@@ -8,10 +8,10 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
-#include <optional>
 #include <sstream>
 
 #include "lint.h"
+#include "qpwm/util/json.h"
 
 namespace qpwm::lint {
 namespace {
@@ -123,97 +123,25 @@ bool RunLint(const DriverOptions& opt, DriverResult& result) {
         .count();
   };
 
-  IndexCache cache;
-  if (!opt.index_cache.empty()) cache = LoadIndexCache(opt.index_cache);
-
-  // Pass 1. Per file: an mtime match trusts the cached symbols without
-  // reading; otherwise a content-hash match still reuses them (mtime churn
-  // from fresh checkouts); only genuinely changed files are re-scanned.
-  struct FileState {
-    std::string given;   // path as discovered (used for I/O)
-    std::string key;     // normalized path (cache + report key)
-    int64_t mtime = 0;
-    uint64_t hash = 0;   // 0 until the content has been read
-    bool dirty = false;  // symbols re-computed this run
-    std::optional<FileScan> scan;  // populated lazily
-  };
+  // Pass 1: scan every file and merge its symbols into the shared context.
   const auto pass1_start = std::chrono::steady_clock::now();
-  std::vector<FileState> states;
-  states.reserve(canon.size());
+  std::vector<FileScan> scans;
+  scans.reserve(canon.size());
   LintContext ctx;
-  IndexCache next_cache;
   for (const auto& [canonical, given] : canon) {
-    FileState st;
-    st.given = given;
-    std::string key = given;
-    std::replace(key.begin(), key.end(), '\\', '/');
-    st.key = key;
-    std::error_code ec;
-    const auto ftime = fs::last_write_time(given, ec);
-    if (ec) continue;
-    st.mtime = static_cast<int64_t>(ftime.time_since_epoch().count());
-
-    const auto cached = cache.find(st.key);
-    bool reused = false;
-    if (cached != cache.end() && cached->second.mtime == st.mtime) {
-      reused = true;  // trusted without a read
-      st.hash = cached->second.hash;
-    } else {
-      std::string text;
-      if (!ReadFile(given, text)) continue;  // e.g. removed generated TU
-      st.hash = HashContent(text);
-      if (cached != cache.end() && cached->second.hash == st.hash) {
-        reused = true;  // same content, new mtime
-      } else {
-        st.scan = ScanSource(given, text);
-        st.dirty = true;
-      }
-    }
-    CachedFile entry;
-    if (reused) {
-      entry = cached->second;
-      entry.mtime = st.mtime;
-      ++result.files_from_cache;
-    } else {
-      entry.mtime = st.mtime;
-      entry.hash = st.hash;
-      entry.symbols = CollectFileSymbols(*st.scan);
-    }
-    MergeSymbols(entry.symbols, ctx);
-    next_cache[st.key] = std::move(entry);
-    states.push_back(std::move(st));
+    std::string text;
+    if (!ReadFile(given, text)) continue;  // e.g. removed generated TU
+    scans.push_back(ScanSource(given, text));
+    CollectContext(scans.back(), ctx);
   }
   FinalizeContext(ctx);
-  const uint64_t digest = ContextDigest(ctx);
   result.index_ms = ms_since(pass1_start);
-  result.files_scanned = states.size();
+  result.files_scanned = scans.size();
 
-  // Pass 2: findings are reusable only for unchanged files analyzed under
-  // the identical merged context (any edit anywhere invalidates cross-TU
-  // findings everywhere, which the digest captures).
+  // Pass 2: every rule over every file, against the merged context.
   std::vector<Finding> findings;
-  for (FileState& st : states) {
-    CachedFile& entry = next_cache[st.key];
-    if (!st.dirty && entry.ctx_digest == digest) {
-      findings.insert(findings.end(), entry.findings.begin(),
-                      entry.findings.end());
-      ++result.findings_from_cache;
-      continue;
-    }
-    if (!st.scan.has_value()) {
-      std::string text;
-      if (!ReadFile(st.given, text)) continue;
-      st.scan = ScanSource(st.given, text);
-    }
-    std::vector<Finding> file_findings;
-    AnalyzeFile(*st.scan, ctx, file_findings, &result.rule_ms);
-    entry.ctx_digest = digest;
-    entry.findings = file_findings;
-    findings.insert(findings.end(), file_findings.begin(), file_findings.end());
-  }
-
-  if (!opt.index_cache.empty()) {
-    SaveIndexCache(opt.index_cache, next_cache);  // best-effort persistence
+  for (const FileScan& scan : scans) {
+    AnalyzeFile(scan, ctx, findings, &result.rule_ms);
   }
 
   std::sort(findings.begin(), findings.end(),
@@ -231,44 +159,31 @@ bool RunLint(const DriverOptions& opt, DriverResult& result) {
 }
 
 bool WriteReport(const std::string& path, const DriverResult& result) {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) return false;
-  auto escape = [](const std::string& s) {
-    std::string e;
-    for (char c : s) {
-      if (c == '"' || c == '\\') e += '\\';
-      e += c;
+  JsonWriter w;
+  auto write_findings = [&](const char* key, const std::vector<Finding>& fs) {
+    w.Key(key).BeginArray();
+    for (const Finding& f : fs) {
+      w.BeginObject();
+      w.Key("file").String(f.file);
+      w.Key("line").Int(f.line);
+      w.Key("rule").String(f.rule);
+      w.Key("message").String(f.message);
+      w.EndObject();
     }
-    return e;
+    w.EndArray();
   };
-  auto emit = [&](const std::vector<Finding>& fs, const char* key,
-                  bool trailing_comma) {
-    out << "  \"" << key << "\": [\n";
-    for (size_t i = 0; i < fs.size(); ++i) {
-      out << "    {\"file\": \"" << escape(fs[i].file)
-          << "\", \"line\": " << fs[i].line << ", \"rule\": \"" << fs[i].rule
-          << "\", \"message\": \"" << escape(fs[i].message) << "\"}"
-          << (i + 1 < fs.size() ? "," : "") << "\n";
-    }
-    out << "  ]" << (trailing_comma ? "," : "") << "\n";
-  };
-  out << "{\n  \"schema_version\": " << kReportSchemaVersion << ",\n";
-  out << "  \"files_scanned\": " << result.files_scanned << ",\n";
-  out << "  \"files_from_cache\": " << result.files_from_cache << ",\n";
-  out << "  \"findings_from_cache\": " << result.findings_from_cache << ",\n";
-  out << "  \"index_ms\": " << result.index_ms << ",\n";
-  out << "  \"total_ms\": " << result.total_ms << ",\n";
-  out << "  \"rule_ms\": {";
-  bool first = true;
-  for (const auto& [rule, ms] : result.rule_ms) {
-    out << (first ? "" : ",") << "\n    \"" << escape(rule) << "\": " << ms;
-    first = false;
-  }
-  out << (first ? "" : "\n  ") << "},\n";
-  emit(result.errors, "errors", true);
-  emit(result.warnings, "warnings", false);
-  out << "}\n";
-  return static_cast<bool>(out);
+  w.BeginObject();
+  w.Key("schema_version").Int(kReportSchemaVersion);
+  w.Key("files_scanned").UInt(result.files_scanned);
+  w.Key("index_ms").Double(result.index_ms);
+  w.Key("total_ms").Double(result.total_ms);
+  w.Key("rule_ms").BeginObject();
+  for (const auto& [rule, ms] : result.rule_ms) w.Key(rule).Double(ms);
+  w.EndObject();
+  write_findings("errors", result.errors);
+  write_findings("warnings", result.warnings);
+  w.EndObject();
+  return WriteJsonFile(path, w);
 }
 
 }  // namespace qpwm::lint

@@ -11,13 +11,7 @@
 //
 // MergeSymbols folds per-file symbols into the shared LintContext;
 // FinalizeContext closes the index (builtin view types + transitive
-// stamp-bump closure over the same-class call graph). The bottom half is the
-// incremental cache: a versioned tab-separated line format keyed by file
-// mtime + FNV-1a content hash.
-#include <cstdio>
-#include <fstream>
-#include <sstream>
-
+// stamp-bump closure over the same-class call graph).
 #include "internal.h"
 #include "lint.h"
 
@@ -707,247 +701,6 @@ void FinalizeContext(LintContext& ctx) {
     }
   }
   ctx.finalized = true;
-}
-
-uint64_t HashContent(std::string_view text) {
-  uint64_t h = 1469598103934665603ull;  // FNV-1a 64 offset basis
-  for (const char c : text) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;  // FNV prime
-  }
-  return h;
-}
-
-uint64_t ContextDigest(const LintContext& ctx) {
-  std::ostringstream os;
-  for (const std::string& s : ctx.status_apis) os << "a:" << s << '\n';
-  for (const auto& [path, names] : ctx.unordered_by_file) {
-    os << "u:" << path;
-    for (const std::string& n : names) os << ' ' << n;
-    os << '\n';
-  }
-  for (const auto& [name, cls] : ctx.classes) {
-    os << "c:" << name << ':' << cls.is_view_type << '\n';
-    for (const MemberSym& m : cls.members) {
-      os << "m:" << m.name << ':' << m.type << ':' << m.is_mutable
-         << m.is_static << m.is_mutex << m.is_atomic << m.is_stamp
-         << m.has_view_of << ':' << m.guarded_by << '\n';
-    }
-  }
-  for (const auto& [key, fn] : ctx.functions) {
-    os << "f:" << key << ':' << fn.is_definition << fn.is_ctor_or_dtor;
-    for (const std::string& b : fn.bump_targets) os << " b" << b;
-    for (const std::string& c : fn.calls) os << " c" << c;
-    for (const std::string& r : fn.requires_mutexes) os << " r" << r;
-    os << '\n';
-  }
-  for (const std::string& v : ctx.view_types) os << "v:" << v << '\n';
-  return HashContent(os.str());
-}
-
-// --- Incremental cache -------------------------------------------------------
-
-namespace {
-
-constexpr char kCacheMagic[] = "qpwm-lint-index v2";
-
-std::string Escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '\\') out += "\\\\";
-    else if (c == '\t') out += "\\t";
-    else if (c == '\n') out += "\\n";
-    else out += c;
-  }
-  return out;
-}
-
-std::string Unescape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (size_t i = 0; i < s.size(); ++i) {
-    if (s[i] != '\\' || i + 1 == s.size()) {
-      out += s[i];
-      continue;
-    }
-    ++i;
-    if (s[i] == 't') out += '\t';
-    else if (s[i] == 'n') out += '\n';
-    else out += s[i];
-  }
-  return out;
-}
-
-std::vector<std::string> SplitTabs(const std::string& line, size_t max_parts) {
-  std::vector<std::string> parts;
-  size_t start = 0;
-  while (parts.size() + 1 < max_parts) {
-    const size_t tab = line.find('\t', start);
-    if (tab == std::string::npos) break;
-    parts.push_back(line.substr(start, tab - start));
-    start = tab + 1;
-  }
-  parts.push_back(line.substr(start));
-  return parts;
-}
-
-}  // namespace
-
-IndexCache LoadIndexCache(const std::string& path) {
-  IndexCache cache;
-  std::ifstream in(path);
-  if (!in) return cache;
-  std::string line;
-  if (!std::getline(in, line) || line != kCacheMagic) return cache;
-  CachedFile* cur = nullptr;
-  ClassSym* cur_cls = nullptr;
-  FunctionSym* cur_fn = nullptr;
-  try {
-    while (std::getline(in, line)) {
-      if (line.size() < 2 || line[1] != '\t') return IndexCache{};
-      const char kind = line[0];
-      const std::string rest = line.substr(2);
-      if (kind == 'F') {
-        const auto p = SplitTabs(rest, 4);
-        if (p.size() != 4) return IndexCache{};
-        CachedFile& cf = cache[p[0]];
-        cf.symbols.path = p[0];
-        cf.mtime = std::stoll(p[1]);
-        cf.hash = std::stoull(p[2]);
-        cf.ctx_digest = std::stoull(p[3]);
-        cur = &cf;
-        cur_cls = nullptr;
-        cur_fn = nullptr;
-        continue;
-      }
-      if (cur == nullptr) return IndexCache{};
-      switch (kind) {
-        case 'A':
-          cur->symbols.status_apis.insert(rest);
-          break;
-        case 'U':
-          cur->symbols.unordered_names.insert(rest);
-          break;
-        case 'C': {
-          const auto p = SplitTabs(rest, 3);
-          if (p.size() != 3) return IndexCache{};
-          ClassSym cls;
-          cls.line = std::stoi(p[0]);
-          cls.is_view_type = p[1] == "1";
-          cls.name = p[2];
-          cur->symbols.classes.push_back(std::move(cls));
-          cur_cls = &cur->symbols.classes.back();
-          break;
-        }
-        case 'M': {
-          if (cur_cls == nullptr) return IndexCache{};
-          const auto p = SplitTabs(rest, 5);
-          if (p.size() != 5) return IndexCache{};
-          MemberSym m;
-          m.line = std::stoi(p[0]);
-          const unsigned flags = static_cast<unsigned>(std::stoul(p[1]));
-          m.is_mutable = flags & 1u;
-          m.is_static = flags & 2u;
-          m.is_mutex = flags & 4u;
-          m.is_atomic = flags & 8u;
-          m.is_stamp = flags & 16u;
-          m.has_view_of = flags & 32u;
-          m.guarded_by = p[2] == "-" ? "" : p[2];
-          m.name = p[3];
-          m.type = p[4];
-          cur_cls->members.push_back(std::move(m));
-          break;
-        }
-        case 'G': {
-          const auto p = SplitTabs(rest, 4);
-          if (p.size() != 4) return IndexCache{};
-          FunctionSym fn;
-          fn.line = std::stoi(p[0]);
-          const unsigned flags = static_cast<unsigned>(std::stoul(p[1]));
-          fn.is_definition = flags & 1u;
-          fn.is_ctor_or_dtor = flags & 2u;
-          fn.class_name = p[2] == "-" ? "" : p[2];
-          fn.name = p[3];
-          cur->symbols.functions.push_back(std::move(fn));
-          cur_fn = &cur->symbols.functions.back();
-          break;
-        }
-        case 'B':
-          if (cur_fn == nullptr) return IndexCache{};
-          cur_fn->bump_targets.insert(rest);
-          break;
-        case 'L':
-          if (cur_fn == nullptr) return IndexCache{};
-          cur_fn->calls.insert(rest);
-          break;
-        case 'R':
-          if (cur_fn == nullptr) return IndexCache{};
-          cur_fn->requires_mutexes.insert(rest);
-          break;
-        case 'X': {
-          const auto p = SplitTabs(rest, 3);
-          if (p.size() != 3) return IndexCache{};
-          Finding f;
-          f.file = cur->symbols.path;
-          f.line = std::stoi(p[0]);
-          f.rule = p[1];
-          f.message = Unescape(p[2]);
-          cur->findings.push_back(std::move(f));
-          break;
-        }
-        default:
-          return IndexCache{};
-      }
-    }
-  } catch (...) {  // qpwm-lint: allow(bare-throw) -- std::stoi failure on a corrupt cache degrades to a cold cache, never a crash
-    return IndexCache{};
-  }
-  return cache;
-}
-
-bool SaveIndexCache(const std::string& path, const IndexCache& cache) {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) return false;
-  out << kCacheMagic << '\n';
-  for (const auto& [file, cf] : cache) {
-    out << "F\t" << file << '\t' << cf.mtime << '\t' << cf.hash << '\t'
-        << cf.ctx_digest << '\n';
-    for (const std::string& s : cf.symbols.status_apis) out << "A\t" << s << '\n';
-    for (const std::string& s : cf.symbols.unordered_names) {
-      out << "U\t" << s << '\n';
-    }
-    for (const ClassSym& cls : cf.symbols.classes) {
-      out << "C\t" << cls.line << '\t' << (cls.is_view_type ? 1 : 0) << '\t'
-          << cls.name << '\n';
-      for (const MemberSym& m : cls.members) {
-        const unsigned flags = (m.is_mutable ? 1u : 0u) |
-                               (m.is_static ? 2u : 0u) | (m.is_mutex ? 4u : 0u) |
-                               (m.is_atomic ? 8u : 0u) | (m.is_stamp ? 16u : 0u) |
-                               (m.has_view_of ? 32u : 0u);
-        out << "M\t" << m.line << '\t' << flags << '\t'
-            << (m.guarded_by.empty() ? "-" : m.guarded_by) << '\t' << m.name
-            << '\t' << m.type << '\n';
-      }
-    }
-    for (const FunctionSym& fn : cf.symbols.functions) {
-      const unsigned flags =
-          (fn.is_definition ? 1u : 0u) | (fn.is_ctor_or_dtor ? 2u : 0u);
-      out << "G\t" << fn.line << '\t' << flags << '\t'
-          << (fn.class_name.empty() ? "-" : fn.class_name) << '\t' << fn.name
-          << '\n';
-      for (const std::string& b : fn.bump_targets) out << "B\t" << b << '\n';
-      for (const std::string& c : fn.calls) out << "L\t" << c << '\n';
-      for (const std::string& r : fn.requires_mutexes) {
-        out << "R\t" << r << '\n';
-      }
-    }
-    for (const Finding& f : cf.findings) {
-      out << "X\t" << f.line << '\t' << f.rule << '\t' << Escape(f.message)
-          << '\n';
-    }
-  }
-  return out.good();
 }
 
 }  // namespace qpwm::lint

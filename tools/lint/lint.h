@@ -72,9 +72,8 @@
 // coarse call graph, view-like types). Pass 2 re-walks each file's tokens
 // and runs the rule families against the merged index, so a rule firing in
 // one TU can depend on declarations made in another (a guarded member
-// declared in a header is enforced in the .cc that touches it). The index
-// is cached between runs keyed by file mtime+content hash; unchanged files
-// contribute their cached symbols and findings without being re-read.
+// declared in a header is enforced in the .cc that touches it). Every run
+// scans the whole file set; there is no cache between runs.
 //
 // The analysis is a tokenizer plus pattern rules, not a full parser: it is
 // deliberately conservative, and the allowlist is the escape hatch for the
@@ -175,11 +174,11 @@ struct FunctionSym {
   std::set<std::string> calls;
   /// Mutex names from QPWM_REQUIRES(...) on the declaration or definition.
   std::set<std::string> requires_mutexes;
-  /// Token span of the body in the declaring file's scan (same-run only;
-  /// kNoBody when declaration-only or when restored from the index cache).
+  /// Token span of the body in the declaring file's scan (kNoBody when
+  /// declaration-only).
   size_t body_begin = kNoBody;
   size_t body_end = kNoBody;
-  /// Token span of the parameter list `( ... )`, same-run only.
+  /// Token span of the parameter list `( ... )`.
   size_t params_begin = kNoBody;
   size_t params_end = kNoBody;
   /// Leading return-type tokens (empty for ctors/dtors/operators).
@@ -195,7 +194,7 @@ struct ClassSym {
 };
 
 /// Everything pass 1 extracts from one file. Pure function of the token
-/// stream, which is what makes per-file caching sound.
+/// stream.
 struct FileSymbols {
   std::string path;
   std::set<std::string> status_apis;
@@ -244,10 +243,6 @@ void CollectContext(const FileScan& scan, LintContext& ctx);
 /// Must run before AnalyzeFile.
 void FinalizeContext(LintContext& ctx);
 
-/// Order-independent digest of the merged context. Cached per-file findings
-/// are only reused when the digest they were computed under still matches.
-uint64_t ContextDigest(const LintContext& ctx);
-
 // --- Pass 2: analysis --------------------------------------------------------
 
 struct Finding {
@@ -266,31 +261,6 @@ using RuleTimings = std::map<std::string, double>;
 void AnalyzeFile(const FileScan& scan, const LintContext& ctx,
                  std::vector<Finding>& out, RuleTimings* timings = nullptr);
 
-// --- Incremental index cache -------------------------------------------------
-
-/// One cached file: identity (mtime+hash), its pass-1 symbols, and the
-/// findings computed under `ctx_digest`. Symbols are reusable whenever the
-/// identity matches; findings additionally require the context digest to
-/// match (a change anywhere in the tree can invalidate cross-TU findings
-/// everywhere).
-struct CachedFile {
-  int64_t mtime = 0;
-  uint64_t hash = 0;
-  uint64_t ctx_digest = 0;
-  FileSymbols symbols;
-  std::vector<Finding> findings;
-};
-
-using IndexCache = std::map<std::string, CachedFile>;  // by normalized path
-
-/// Loads/saves the cache file (a versioned line format; a version mismatch
-/// or parse error yields an empty cache, never an error).
-IndexCache LoadIndexCache(const std::string& path);
-bool SaveIndexCache(const std::string& path, const IndexCache& cache);
-
-/// FNV-1a 64 over `text` — the content hash the cache keys on.
-uint64_t HashContent(std::string_view text);
-
 // --- Driver -----------------------------------------------------------------
 
 struct DriverOptions {
@@ -298,7 +268,6 @@ struct DriverOptions {
   std::string root = ".";               // tree to walk when no paths given
   std::string compile_commands;         // optional compile_commands.json
   std::string report;                   // optional JSON report path
-  std::string index_cache;              // optional incremental cache path
   std::vector<std::string> paths;       // explicit files/dirs to lint
 };
 
@@ -306,8 +275,6 @@ struct DriverResult {
   std::vector<Finding> errors;    // fail the run
   std::vector<Finding> warnings;  // advisory (errors under --strict)
   size_t files_scanned = 0;
-  size_t files_from_cache = 0;    // pass-1 symbols reused
-  size_t findings_from_cache = 0; // pass-2 findings reused
   RuleTimings rule_ms;
   double index_ms = 0.0;  // pass 1 (scan + merge + finalize)
   double total_ms = 0.0;
@@ -321,7 +288,7 @@ bool RunLint(const DriverOptions& opt, DriverResult& result);
 
 /// JSON report schema version; bump on any shape change and document in
 /// docs/static-analysis.md.
-inline constexpr int kReportSchemaVersion = 2;
+inline constexpr int kReportSchemaVersion = 3;
 
 /// Serializes findings as a JSON report. Returns false if unwritable.
 bool WriteReport(const std::string& path, const DriverResult& result);

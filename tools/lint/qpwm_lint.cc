@@ -15,7 +15,7 @@ int Usage(int code) {
   std::cerr
       << "usage: qpwm_lint [--strict] [--root DIR]\n"
          "       [--compile-commands build/compile_commands.json]\n"
-         "       [--report lint_report.json] [--index-cache FILE] [paths...]\n"
+         "       [--report lint_report.json] [paths...]\n"
          "\n"
          "Lints the qpwm tree (or the given files/dirs) for project\n"
          "invariants. Rules:\n";
@@ -53,8 +53,6 @@ int main(int argc, char** argv) {
       if (!value(opt.compile_commands)) return Usage(2);
     } else if (arg == "--report") {
       if (!value(opt.report)) return Usage(2);
-    } else if (arg == "--index-cache") {
-      if (!value(opt.index_cache)) return Usage(2);
     } else if (!arg.empty() && arg[0] == '-') {
       std::cerr << "unknown flag " << arg << "\n";
       return Usage(2);
@@ -83,9 +81,7 @@ int main(int argc, char** argv) {
   }
   const size_t gating =
       result.errors.size() + (opt.strict ? result.warnings.size() : 0);
-  std::cerr << "qpwm_lint: " << result.files_scanned << " files ("
-            << result.files_from_cache << " symbols + "
-            << result.findings_from_cache << " findings from cache), "
+  std::cerr << "qpwm_lint: " << result.files_scanned << " files, "
             << result.errors.size() << " errors, " << result.warnings.size()
             << " warnings" << (opt.strict ? " (strict)" : "") << " in "
             << static_cast<long>(result.total_ms) << " ms\n";

@@ -36,10 +36,8 @@
 // error.
 #include <algorithm>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -50,6 +48,7 @@
 #include "qpwm/core/local_scheme.h"
 #include "qpwm/logic/query.h"
 #include "qpwm/structure/generators.h"
+#include "qpwm/util/json.h"
 #include "qpwm/util/parallel.h"
 #include "qpwm/util/random.h"
 #include "qpwm/util/str.h"
@@ -72,6 +71,9 @@ struct Options {
 // Per-trial attack seeds are seed + tag * kSeedStride + trial; the formula is
 // recorded in the report next to the explicit seed lists.
 constexpr uint64_t kSeedStride = 1000003;
+
+// Version of the report's JSON shape; bump on any change to it.
+constexpr int kReportSchemaVersion = 1;
 
 uint64_t TrialSeed(const Options& opt, uint64_t level_tag, size_t trial) {
   return opt.seed + level_tag * kSeedStride + trial;
@@ -207,30 +209,27 @@ LevelSummary RunLevel(const Options& opt, const Workload& wl,
   return s;
 }
 
-void AppendTrialSeeds(std::ostringstream& json, const Options& opt,
-                      uint64_t level_tag) {
-  json << "\"trial_seeds\": [";
-  for (size_t t = 0; t < opt.trials; ++t) {
-    json << (t ? ", " : "") << TrialSeed(opt, level_tag, t);
-  }
-  json << "]";
+void WriteTrialSeeds(JsonWriter& json, const Options& opt, uint64_t level_tag) {
+  json.Key("trial_seeds").BeginArray();
+  for (size_t t = 0; t < opt.trials; ++t) json.UInt(TrialSeed(opt, level_tag, t));
+  json.EndArray();
 }
 
-void AppendLevelJson(std::ostringstream& json, const Options& opt,
-                     const LevelSummary& s, bool last) {
+void WriteLevel(JsonWriter& json, const Options& opt, const LevelSummary& s) {
   const double n = static_cast<double>(s.trials);
-  json << "    {\"deletion_frac\": " << s.deletion_frac
-       << ", \"insertion_frac\": " << s.insertion_frac
-       << ", \"trials\": " << s.trials
-       << ", \"full_mark_rate\": " << static_cast<double>(s.full_mark) / n
-       << ", \"recovered_correct_rate\": "
-       << static_cast<double>(s.recovered_correct) / n
-       << ", \"internal_errors\": " << s.internal_errors
-       << ", \"mean_bits_erased\": " << s.mean_bits_erased
-       << ", \"mean_pairs_erased\": " << s.mean_pairs_erased
-       << ", \"mean_min_margin\": " << s.mean_min_margin << ", ";
-  AppendTrialSeeds(json, opt, s.level_tag);
-  json << "}" << (last ? "\n" : ",\n");
+  json.BeginObject();
+  json.Key("deletion_frac").Double(s.deletion_frac);
+  json.Key("insertion_frac").Double(s.insertion_frac);
+  json.Key("trials").UInt(s.trials);
+  json.Key("full_mark_rate").Double(static_cast<double>(s.full_mark) / n);
+  json.Key("recovered_correct_rate")
+      .Double(static_cast<double>(s.recovered_correct) / n);
+  json.Key("internal_errors").UInt(s.internal_errors);
+  json.Key("mean_bits_erased").Double(s.mean_bits_erased);
+  json.Key("mean_pairs_erased").Double(s.mean_pairs_erased);
+  json.Key("mean_min_margin").Double(s.mean_min_margin);
+  WriteTrialSeeds(json, opt, s.level_tag);
+  json.EndObject();
 }
 
 // --- Collusion sweep (channel-level washout under coalition forgeries) ------
@@ -312,11 +311,10 @@ CollusionOutcome RunCollusionTrial(const Workload& wl,
 // Emits the collusion sweep section (coalition size 2..opt.collusion x every
 // registered attack). Returns the number of internal errors.
 size_t RunCollusionSweep(const Options& opt, const Workload& wl,
-                         std::ostringstream& json) {
+                         JsonWriter& json) {
   size_t internal_errors = 0;
   const std::vector<std::string>& specs = KnownCollusionSpecs();
-  json << "  \"collusion_sweep\": [\n";
-  bool first = true;
+  json.Key("collusion_sweep").BeginArray();
   for (size_t k = 2; k <= opt.collusion; ++k) {
     std::cerr << " c=" << k << std::flush;
     for (size_t ai = 0; ai < specs.size(); ++ai) {
@@ -344,22 +342,21 @@ size_t RunCollusionSweep(const Options& opt, const Workload& wl,
       }
       internal_errors += errors;
       const double n = static_cast<double>(opt.trials);
-      json << (first ? "" : ",\n") << "    {\"coalition\": " << k
-           << ", \"attack\": \"" << attack.value()->Name() << "\""
-           << ", \"trials\": " << opt.trials
-           << ", \"mean_bits_erased\": " << erased / n
-           << ", \"mean_min_margin\": " << margin / n
-           << ", \"unanimous_recovery_rate\": "
-           << (unanimous > 0 ? unanimous_rec / unanimous : 0.0)
-           << ", \"member0_agreement\": "
-           << (compared > 0 ? agree / compared : 0.0)
-           << ", \"internal_errors\": " << errors << ", ";
-      AppendTrialSeeds(json, opt, level_tag);
-      json << "}";
-      first = false;
+      json.BeginObject();
+      json.Key("coalition").UInt(k);
+      json.Key("attack").String(attack.value()->Name());
+      json.Key("trials").UInt(opt.trials);
+      json.Key("mean_bits_erased").Double(erased / n);
+      json.Key("mean_min_margin").Double(margin / n);
+      json.Key("unanimous_recovery_rate")
+          .Double(unanimous > 0 ? unanimous_rec / unanimous : 0.0);
+      json.Key("member0_agreement").Double(compared > 0 ? agree / compared : 0.0);
+      json.Key("internal_errors").UInt(errors);
+      WriteTrialSeeds(json, opt, level_tag);
+      json.EndObject();
     }
   }
-  json << "\n  ],\n";
+  json.EndArray();
   return internal_errors;
 }
 
@@ -478,11 +475,9 @@ HonestOutcome RunHonestTrial(const Workload& wl, const CodedWatermark& wm,
 }
 
 // Returns the number of trials that hit an internal detection error.
-size_t RunCodecGrid(const Options& opt, const Workload& wl,
-                    std::ostringstream& json) {
+size_t RunCodecGrid(const Options& opt, const Workload& wl, JsonWriter& json) {
   size_t internal_errors = 0;
-  bool first_codec = true;
-  json << "  \"codec_grid\": [\n";
+  json.Key("codec_grid").BeginArray();
   uint64_t tag = 300;  // level tags continue after the channel campaigns
   for (const GridCodec& entry : kGridCodecs) {
     const uint64_t codec_tag_base = tag;
@@ -498,15 +493,14 @@ size_t RunCodecGrid(const Options& opt, const Workload& wl,
     CodedWatermark wm(*wl.adv, *codec.value(), coded_opts);
     std::cerr << "codec " << entry.label;
 
-    if (!first_codec) json << ",\n";
-    first_codec = false;
-    json << "    {\"codec\": \"" << entry.label << "\", \"spec\": \""
-         << entry.spec << "\", \"interleave\": "
-         << (entry.interleave ? "true" : "false")
-         << ", \"payload_bits\": " << wm.PayloadBits()
-         << ", \"used_channel_bits\": " << wm.UsedChannelBits()
-         << ", \"min_distance\": " << codec.value()->MinDistance()
-         << ",\n     \"levels\": [\n";
+    json.BeginObject();
+    json.Key("codec").String(entry.label);
+    json.Key("spec").String(entry.spec);
+    json.Key("interleave").Bool(entry.interleave);
+    json.Key("payload_bits").UInt(wm.PayloadBits());
+    json.Key("used_channel_bits").UInt(wm.UsedChannelBits());
+    json.Key("min_distance").UInt(codec.value()->MinDistance());
+    json.Key("levels").BeginArray();
 
     for (size_t li = 0; li < std::size(kSeverities); ++li) {
       const double severity = kSeverities[li];
@@ -533,29 +527,32 @@ size_t RunCodecGrid(const Options& opt, const Workload& wl,
       }
       const double n = static_cast<double>(opt.trials);
       const ComposedAttackSpec spec = SpecForSeverity(severity, 0);
-      json << "       {\"severity\": " << severity
-           << ", \"attack\": {\"noise\": " << spec.noise
-           << ", \"jitter_prob\": " << spec.jitter_prob
-           << ", \"rounding\": " << spec.rounding
-           << ", \"deletion_frac\": " << spec.deletion_frac
-           << ", \"region_frac\": " << spec.region_frac
-           << ", \"insertion_frac\": " << spec.insertion_frac << "}"
-           << ", \"trials\": " << opt.trials
-           << ", \"payload_full_rate\": " << static_cast<double>(full) / n
-           << ", \"payload_correct_rate\": " << static_cast<double>(correct) / n
-           << ", \"verdict_match_rate\": " << static_cast<double>(match) / n
-           << ", \"mean_payload_bits_erased\": " << erased / n
-           << ", \"mean_channel_bits_erased\": " << ch_erased / n
-           << ", \"mean_corrected\": " << corrected / n
-           << ", \"mean_filled\": " << filled / n
-           << ", \"mean_log10_fp_bound\": " << mean_fp / n
-           << ", \"max_log10_fp_bound\": " << max_fp
-           << ", \"internal_errors\": " << errors << ", ";
+      json.BeginObject();
+      json.Key("severity").Double(severity);
+      json.Key("attack").BeginObject();
+      json.Key("noise").Int(spec.noise);
+      json.Key("jitter_prob").Double(spec.jitter_prob);
+      json.Key("rounding").Int(spec.rounding);
+      json.Key("deletion_frac").Double(spec.deletion_frac);
+      json.Key("region_frac").Double(spec.region_frac);
+      json.Key("insertion_frac").Double(spec.insertion_frac);
+      json.EndObject();
+      json.Key("trials").UInt(opt.trials);
+      json.Key("payload_full_rate").Double(static_cast<double>(full) / n);
+      json.Key("payload_correct_rate").Double(static_cast<double>(correct) / n);
+      json.Key("verdict_match_rate").Double(static_cast<double>(match) / n);
+      json.Key("mean_payload_bits_erased").Double(erased / n);
+      json.Key("mean_channel_bits_erased").Double(ch_erased / n);
+      json.Key("mean_corrected").Double(corrected / n);
+      json.Key("mean_filled").Double(filled / n);
+      json.Key("mean_log10_fp_bound").Double(mean_fp / n);
+      json.Key("max_log10_fp_bound").Double(max_fp);
+      json.Key("internal_errors").UInt(errors);
       internal_errors += errors;
-      AppendTrialSeeds(json, opt, level_tag);
-      json << "}" << (li + 1 < std::size(kSeverities) ? ",\n" : "\n");
+      WriteTrialSeeds(json, opt, level_tag);
+      json.EndObject();
     }
-    json << "     ],\n";
+    json.EndArray();
 
     // Honest suspects: unmarked original and unrelated random weights.
     const uint64_t honest_tag = codec_tag_base + 99;
@@ -572,15 +569,17 @@ size_t RunCodecGrid(const Options& opt, const Workload& wl,
       worst_fp = std::min(worst_fp, h.log10_fp);
     }
     internal_errors += honest_errors;
-    json << "     \"honest\": {\"trials\": " << opt.trials
-         << ", \"false_positives\": " << fps
-         << ", \"internal_errors\": " << honest_errors
-         << ", \"min_log10_fp_bound\": " << worst_fp << ", ";
-    AppendTrialSeeds(json, opt, honest_tag);
-    json << "}}";
+    json.Key("honest").BeginObject();
+    json.Key("trials").UInt(opt.trials);
+    json.Key("false_positives").UInt(fps);
+    json.Key("internal_errors").UInt(honest_errors);
+    json.Key("min_log10_fp_bound").Double(worst_fp);
+    WriteTrialSeeds(json, opt, honest_tag);
+    json.EndObject();
+    json.EndObject();
     std::cerr << "\n";
   }
-  json << "\n  ]\n";
+  json.EndArray();
   return internal_errors;
 }
 
@@ -589,57 +588,63 @@ int Run(const Options& opt) {
             << ParallelThreads() << " threads)\n";
   std::unique_ptr<Workload> wl = Workload::Build(opt);
 
-  std::ostringstream json;
-  json << "{\n";
-  json << "  \"workload\": {\"elements\": " << opt.elements
-       << ", \"redundancy\": " << opt.redundancy
-       << ", \"trials\": " << opt.trials << ", \"seed\": " << opt.seed
-       << ", \"capacity_bits\": " << wl->adv->CapacityBits() << "},\n";
+  JsonWriter json;
+  json.BeginObject();
+  json.Key("schema_version").Int(kReportSchemaVersion);
+  json.Key("workload").BeginObject();
+  json.Key("elements").UInt(opt.elements);
+  json.Key("redundancy").UInt(opt.redundancy);
+  json.Key("trials").UInt(opt.trials);
+  json.Key("seed").UInt(opt.seed);
+  json.Key("capacity_bits").UInt(wl->adv->CapacityBits());
+  json.EndObject();
   // Reproducibility contract: every level records its explicit trial seeds,
   // derived as below; an attack replays from (spec, seed) alone.
-  json << "  \"seed_schedule\": {\"base_seed\": " << opt.seed
-       << ", \"stride\": " << kSeedStride
-       << ", \"formula\": \"base_seed + level_tag * stride + trial\"},\n";
+  json.Key("seed_schedule").BeginObject();
+  json.Key("base_seed").UInt(opt.seed);
+  json.Key("stride").UInt(kSeedStride);
+  json.Key("formula").String("base_seed + level_tag * stride + trial");
+  json.EndObject();
 
   size_t internal_errors = 0;
 
   // Campaign 1: deletion sweep 0..90%.
   std::cerr << "deletion sweep";
-  json << "  \"deletion_sweep\": [\n";
+  json.Key("deletion_sweep").BeginArray();
   for (int i = 0; i <= 9; ++i) {
     std::cerr << " " << i * 10 << "%" << std::flush;
     LevelSummary s = RunLevel(opt, *wl, i * 0.1, 0.0, static_cast<uint64_t>(i));
     internal_errors += s.internal_errors;
-    AppendLevelJson(json, opt, s, i == 9);
+    WriteLevel(json, opt, s);
   }
-  json << "  ],\n";
+  json.EndArray();
   std::cerr << "\n";
 
   // Campaign 2: insertion sweep (spurious rows relative to the active set).
   std::cerr << "insertion sweep";
-  json << "  \"insertion_sweep\": [\n";
+  json.Key("insertion_sweep").BeginArray();
   for (int i = 0; i <= 4; ++i) {
     std::cerr << " " << i * 25 << "%" << std::flush;
     LevelSummary s =
         RunLevel(opt, *wl, 0.0, i * 0.25, 100 + static_cast<uint64_t>(i));
     internal_errors += s.internal_errors;
-    AppendLevelJson(json, opt, s, i == 4);
+    WriteLevel(json, opt, s);
   }
-  json << "  ],\n";
+  json.EndArray();
   std::cerr << "\n";
 
   // Campaign 3: combined deletion + insertion mixes.
   std::cerr << "mixed sweep";
-  json << "  \"mixed_sweep\": [\n";
+  json.Key("mixed_sweep").BeginArray();
   const double mixes[][2] = {{0.1, 0.1}, {0.3, 0.25}, {0.5, 0.5}, {0.7, 0.5}};
   for (size_t i = 0; i < 4; ++i) {
     std::cerr << " " << mixes[i][0] << "/" << mixes[i][1] << std::flush;
     LevelSummary s = RunLevel(opt, *wl, mixes[i][0], mixes[i][1],
                               200 + static_cast<uint64_t>(i));
     internal_errors += s.internal_errors;
-    AppendLevelJson(json, opt, s, i == 3);
+    WriteLevel(json, opt, s);
   }
-  json << "  ],\n";
+  json.EndArray();
   std::cerr << "\n";
 
   // Optional campaign: collusion washout sweep (only with --collusion >= 2,
@@ -652,18 +657,17 @@ int Run(const Options& opt) {
 
   // Campaign 4: codec x composed-adversary severity grid.
   internal_errors += RunCodecGrid(opt, *wl, json);
-  json << ",\n  \"internal_errors\": " << internal_errors << "\n}\n";
+  json.Key("internal_errors").UInt(internal_errors);
+  json.EndObject();
 
   if (!opt.out.empty()) {
-    std::ofstream f(opt.out, std::ios::binary);
-    if (!f) {
+    if (!WriteJsonFile(opt.out, json)) {
       std::cerr << "cannot write " << opt.out << "\n";
       return 2;
     }
-    f << json.str();
     std::cerr << "wrote " << opt.out << "\n";
   } else {
-    std::cout << json.str();
+    std::cout << json.str() << "\n";
   }
   if (internal_errors > 0) {
     std::cerr << "FAIL: " << internal_errors
