@@ -3,6 +3,8 @@
 // runs, the Lemma 3 decomposition and pair-cost accounting.
 #include <benchmark/benchmark.h>
 
+#include <optional>
+
 #include "qpwm/core/local_scheme.h"
 #include "qpwm/core/pairs.h"
 #include "qpwm/logic/parser.h"
@@ -182,6 +184,7 @@ struct TreeFixtureData {
   BinaryTree tree;
   Dta dta{0, 1};
   StepTable table{dta};  // rebuilt from the compiled automaton below
+  std::optional<TreeLayout> layout;
 
   explicit TreeFixtureData(size_t n) {
     sigma.Intern("a");
@@ -193,14 +196,26 @@ struct TreeFixtureData {
               .ValueOrDie()
               .dta;
     table = StepTable(dta);
+    layout.emplace(TreeLayout::Build(tree, tree.labels(), 3).ValueOrDie());
   }
 };
 
-void BM_AutomatonRun(benchmark::State& state) {
+void BM_TreeLayoutBuild(benchmark::State& state) {
   TreeFixtureData fixture(static_cast<size_t>(state.range(0)));
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        fixture.table.Run(fixture.tree, fixture.tree.labels())[fixture.tree.root()]);
+        TreeLayout::Build(fixture.tree, fixture.tree.labels(), 3).ValueOrDie());
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_TreeLayoutBuild)->Arg(1000)->Arg(100000);
+
+void BM_AutomatonRun(benchmark::State& state) {
+  TreeFixtureData fixture(static_cast<size_t>(state.range(0)));
+  const TreeLayout& layout = *fixture.layout;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        fixture.table.Run(layout, layout.absent(), 0)[layout.size() - 1]);
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
@@ -210,24 +225,23 @@ void BM_EvaluateWa(benchmark::State& state) {
   TreeFixtureData fixture(static_cast<size_t>(state.range(0)));
   NodeId a = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        EvaluateWa(fixture.tree, fixture.tree.labels(), 3, fixture.table, 1, a));
+    benchmark::DoNotOptimize(EvaluateWa(*fixture.layout, fixture.table, 1, a));
     a = (a + 1) % fixture.tree.size();
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_EvaluateWa)->Arg(1000)->Arg(30000);
+BENCHMARK(BM_EvaluateWa)->Arg(1000)->Arg(30000)->Arg(100000);
 
 void BM_FindMarkRegions(benchmark::State& state) {
   TreeFixtureData fixture(static_cast<size_t>(state.range(0)));
   for (auto _ : state) {
     DecompositionStats stats;
-    benchmark::DoNotOptimize(FindMarkRegions(fixture.tree, fixture.tree.labels(), 3,
-                                             fixture.table, 1, {}, &stats));
+    benchmark::DoNotOptimize(
+        FindMarkRegions(*fixture.layout, fixture.table, 1, {}, &stats));
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_FindMarkRegions)->Arg(3000)->Arg(30000);
+BENCHMARK(BM_FindMarkRegions)->Arg(3000)->Arg(30000)->Arg(100000);
 
 void BM_MsoCompile(benchmark::State& state) {
   Alphabet sigma;

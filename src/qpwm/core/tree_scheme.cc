@@ -5,16 +5,24 @@
 
 #include "qpwm/tree/query.h"
 #include "qpwm/util/check.h"
-#include "qpwm/util/parallel.h"
 #include "qpwm/util/random.h"
 
 namespace qpwm {
 
+HonestTreeServer::HonestTreeServer(const BinaryTree& t,
+                                   const std::vector<uint32_t>& labels,
+                                   uint32_t base_count, const Dta& dta,
+                                   uint32_t param_arity, WeightMap weights)
+    : table_(dta), param_arity_(param_arity), weights_(std::move(weights)) {
+  Result<TreeLayout> layout = TreeLayout::Build(t, labels, base_count);
+  if (layout.ok()) layout_.emplace(std::move(layout).value());
+}
+
 std::vector<NodeId> HonestTreeServer::Evaluate(const Tuple& params) const {
-  if (params.size() != param_arity_) return {};
-  if (param_arity_ == 1 && params[0] >= t_->size()) return {};
+  if (!layout_ || params.size() != param_arity_) return {};
+  if (param_arity_ == 1 && params[0] >= layout_->size()) return {};
   NodeId a = param_arity_ == 1 ? params[0] : 0;
-  return EvaluateWa(*t_, *labels_, base_count_, table_, param_arity_, a);
+  return EvaluateWa(*layout_, table_, param_arity_, a);
 }
 
 AnswerSet HonestTreeServer::Answer(const Tuple& params) const {
@@ -47,20 +55,15 @@ Result<TreeScheme> TreeScheme::Plan(const BinaryTree& t,
     return Status::InvalidArgument(
         "automaton alphabet does not match base alphabet x pebble tracks");
   }
-  if (labels.size() != t.size()) {
-    return Status::InvalidArgument("one label per tree node required");
-  }
-  for (uint32_t label : labels) {
-    if (label >= base_count) {
-      return Status::InvalidArgument("tree label outside the base alphabet");
-    }
-  }
+  Result<TreeLayout> laid_out = TreeLayout::Build(t, labels, base_count);
+  if (!laid_out.ok()) return laid_out.status();
+  const TreeLayout& layout = laid_out.value();
 
   TreeScheme scheme;
   scheme.options_ = options;
 
   // One step table per automaton run below, built once and shared by every
-  // run (and every witness-pool worker) over it.
+  // run over it.
   const StepTable query(dta);
 
   // Active weighted elements: W = union over a of W_a. Pair candidates are
@@ -69,28 +72,38 @@ Result<TreeScheme> TreeScheme::Plan(const BinaryTree& t,
   {
     std::optional<StepTable> projected;
     if (param_arity == 1) projected.emplace(ProjectParamTrack(dta, base_count));
-    const StepTable& exists_a = projected ? *projected : query;
-    for (NodeId b : EvaluateWa(t, labels, base_count, exists_a, 0, 0)) active[b] = true;
+    const std::vector<uint8_t> active_at =
+        EvaluateWaByPosition(layout, projected ? *projected : query, 0, 0);
+    for (uint32_t p = 0; p < layout.size(); ++p) active[layout.id(p)] = active_at[p] != 0;
   }
 
   DecompositionOptions dopts;
   dopts.shuffle_seed = options.key.Derive(0xDEC0).k0;
   dopts.min_region_size = options.min_region_size;
   dopts.max_region_size = options.max_region_size;
-  scheme.regions_ = FindMarkRegions(t, labels, base_count, query, param_arity, dopts,
-                                    &scheme.stats_, &active);
+  scheme.regions_ =
+      FindMarkRegions(layout, query, param_arity, dopts, &scheme.stats_, &active);
 
-  // Witness discovery. Fast path: precompute the answer bitmaps of a small
-  // shared pool of candidate parameters (root + keyed-random picks); most
-  // pairs find a witness there in O(1). Stragglers fall back to the exact
-  // reverse run (track-swapped automaton: every parameter containing b_plus).
-  // By neutrality, a witness for b_plus outside the region covers b_minus.
+  // Witness discovery. Fast path: a small shared pool of candidate
+  // parameters (root + keyed-random picks), probed in sorted order; most
+  // pairs find a witness there in O(1). The pool is evaluated lazily: a
+  // pooled parameter's first probe is one membership run, and only from its
+  // second probe on is its whole answer set (a context-DP run, several
+  // times dearer) computed and kept. Stragglers fall back to the exact
+  // reverse run (track-swapped automaton: every parameter containing
+  // b_plus). By neutrality, a witness for b_plus outside the region covers
+  // b_minus.
   std::vector<NodeId> region_of(t.size(), kNoNode);
   for (size_t i = 0; i < scheme.regions_.size(); ++i) {
     for (NodeId w : scheme.regions_[i].nodes) region_of[w] = static_cast<NodeId>(i);
   }
 
-  std::vector<std::pair<NodeId, std::vector<bool>>> witness_pool;
+  struct PooledWitness {
+    NodeId a;
+    bool probed = false;
+    std::vector<uint8_t> member;  // by position; empty until probed twice
+  };
+  std::vector<PooledWitness> witness_pool;
   if (param_arity == 1) {
     Rng witness_rng(options.key.Derive(0x317).k0);
     std::vector<NodeId> candidates{t.root()};
@@ -100,21 +113,7 @@ Result<TreeScheme> TreeScheme::Plan(const BinaryTree& t,
     std::sort(candidates.begin(), candidates.end());
     candidates.erase(std::unique(candidates.begin(), candidates.end()),
                      candidates.end());
-    // One full context-DP automaton run per candidate parameter — the
-    // dominant planning cost — computed in parallel; the pool keeps the
-    // candidates' sorted order, so witness probing below is deterministic.
-    std::vector<std::vector<bool>> memberships =
-        ParallelMap<std::vector<bool>>(candidates.size(), [&](size_t i) {
-          std::vector<bool> member(t.size(), false);
-          for (NodeId b : EvaluateWa(t, labels, base_count, query, 1, candidates[i])) {
-            member[b] = true;
-          }
-          return member;
-        });
-    witness_pool.reserve(candidates.size());
-    for (size_t i = 0; i < candidates.size(); ++i) {
-      witness_pool.emplace_back(candidates[i], std::move(memberships[i]));
-    }
+    for (NodeId a : candidates) witness_pool.push_back({a, false, {}});
   }
 
   // The exact reverse run is needed only for pairs the pool misses.
@@ -124,19 +123,29 @@ Result<TreeScheme> TreeScheme::Plan(const BinaryTree& t,
     if (!region.paired()) continue;
 
     if (param_arity == 0) {
-      // Single (empty) parameter; the active filter already guarantees
-      // membership, but verify defensively.
-      if (MemberWa(t, labels, base_count, query, 0, 0, region.b_plus)) {
+      // Single (empty) parameter: W is the active set, which the candidate
+      // filter already required b_plus to be in; checked defensively.
+      if (active[region.b_plus]) {
         scheme.pairs_.push_back({region.b_plus, region.b_minus, Tuple{}});
       }
       continue;
     }
 
     bool found = false;
-    for (const auto& [a, member] : witness_pool) {
-      if (region_of[a] == static_cast<NodeId>(region_idx)) continue;
-      if (member[region.b_plus]) {
-        scheme.pairs_.push_back({region.b_plus, region.b_minus, Tuple{a}});
+    for (PooledWitness& pooled : witness_pool) {
+      if (region_of[pooled.a] == static_cast<NodeId>(region_idx)) continue;
+      bool contains;
+      if (!pooled.probed) {
+        pooled.probed = true;
+        contains = MemberWa(layout, query, 1, pooled.a, region.b_plus);
+      } else {
+        if (pooled.member.empty()) {
+          pooled.member = EvaluateWaByPosition(layout, query, 1, pooled.a);
+        }
+        contains = pooled.member[layout.pos(region.b_plus)] != 0;
+      }
+      if (contains) {
+        scheme.pairs_.push_back({region.b_plus, region.b_minus, Tuple{pooled.a}});
         found = true;
         break;
       }
@@ -144,9 +153,9 @@ Result<TreeScheme> TreeScheme::Plan(const BinaryTree& t,
     if (found) continue;
 
     if (!swapped) swapped.emplace(SwapPebbleTracks(dta, base_count));
-    for (NodeId a : EvaluateWa(t, labels, base_count, *swapped, 1, region.b_plus)) {
+    for (NodeId a : EvaluateWa(layout, *swapped, 1, region.b_plus)) {
       if (region_of[a] == static_cast<NodeId>(region_idx)) continue;
-      QPWM_CHECK(MemberWa(t, labels, base_count, query, 1, a, region.b_minus));
+      QPWM_CHECK(MemberWa(layout, query, 1, a, region.b_minus));
       scheme.pairs_.push_back({region.b_plus, region.b_minus, Tuple{a}});
       break;
     }

@@ -13,6 +13,7 @@
 #define QPWM_CORE_TREE_SCHEME_H_
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "qpwm/core/answers.h"
@@ -34,28 +35,29 @@ struct TreeSchemeOptions {
   /// Forwarded to FindMarkRegions (0 = defaults).
   size_t min_region_size = 0;
   size_t max_region_size = 0;
-  /// Random parameters probed (beyond the root and region neighbors) when
-  /// searching a witness for a pair.
+  /// Size of the witness pool: the root plus witness_attempts - 1 keyed
+  /// random nodes, probed in node-id order for each pair before the exact
+  /// reverse run. The pool is evaluated lazily: nothing is computed for a
+  /// pooled parameter until a pair probes it (one membership run on the
+  /// first probe, its whole answer set from the second on), so entries
+  /// after the one that serves a pair cost nothing.
   size_t witness_attempts = 16;
   PairEncoding encoding = PairEncoding::kOnOff;
 };
 
 /// A server honestly answering the automaton query over a weighted tree.
-/// It builds the query's StepTable once, at construction (so `dta` need not
-/// outlive it), and serves batches flat: AnswerAllFlat writes unary rows
-/// straight into the batch, with no AnswerSet in between. A parameter of the
-/// wrong arity, or a node outside the tree, gets an empty answer.
+/// It lays the tree out and builds the query's StepTable once, at
+/// construction (so neither the tree, the labels nor `dta` need outlive
+/// it), and serves batches flat: AnswerAllFlat writes unary rows straight
+/// into the batch, with no AnswerSet in between. A parameter of the wrong
+/// arity, or a node outside the tree, gets an empty answer; so does every
+/// parameter when the tree cannot be laid out (it is empty or was never
+/// finalized, or a label is outside the base alphabet).
 class HonestTreeServer : public BatchAnswerServer {
  public:
   HonestTreeServer(const BinaryTree& t, const std::vector<uint32_t>& labels,
                    uint32_t base_count, const Dta& dta, uint32_t param_arity,
-                   WeightMap weights)
-      : t_(&t),
-        labels_(&labels),
-        base_count_(base_count),
-        table_(dta),
-        param_arity_(param_arity),
-        weights_(std::move(weights)) {}
+                   WeightMap weights);
 
   AnswerSet Answer(const Tuple& params) const override;
   void AnswerAllFlat(const std::vector<Tuple>& params,
@@ -65,9 +67,7 @@ class HonestTreeServer : public BatchAnswerServer {
   /// W_a for `params`; empty for a wrong-arity or out-of-tree parameter.
   std::vector<NodeId> Evaluate(const Tuple& params) const;
 
-  const BinaryTree* t_;
-  const std::vector<uint32_t>* labels_;
-  uint32_t base_count_;
+  std::optional<TreeLayout> layout_;  // empty when the tree has no layout
   StepTable table_;
   uint32_t param_arity_;
   WeightMap weights_;
@@ -77,8 +77,9 @@ class HonestTreeServer : public BatchAnswerServer {
 class TreeScheme {
  public:
   /// `dta` track convention: track 0 = parameter (if param_arity == 1), next
-  /// track = result node. Every label must be below `base_count`. The tree,
-  /// the labels and the automaton are only read during Plan.
+  /// track = result node. The tree must be finalized and every label below
+  /// `base_count` (InvalidArgument otherwise). The tree, the labels and the
+  /// automaton are only read during Plan.
   [[nodiscard]] static Result<TreeScheme> Plan(const BinaryTree& t,
                                  const std::vector<uint32_t>& labels,
                                  uint32_t base_count, const Dta& dta,

@@ -62,11 +62,16 @@ State Dta::Step(State left, State right, uint32_t sym) const {
 
 std::vector<State> Dta::Run(const BinaryTree& t,
                             const std::vector<uint32_t>& symbols) const {
-  return StepTable(*this).Run(t, symbols);
+  const TreeLayout layout = TreeLayout::Build(t, symbols, alphabet_size_).ValueOrDie();
+  const std::vector<State> by_pos = StepTable(*this).Run(layout, layout.absent(), 0);
+  std::vector<State> state(t.size());
+  for (uint32_t p = 0; p < layout.size(); ++p) state[layout.id(p)] = by_pos[p];
+  return state;
 }
 
 State Dta::RunRoot(const BinaryTree& t, const std::vector<uint32_t>& symbols) const {
-  return Run(t, symbols)[t.root()];
+  const TreeLayout layout = TreeLayout::Build(t, symbols, alphabet_size_).ValueOrDie();
+  return StepTable(*this).Run(layout, layout.absent(), 0)[layout.size() - 1];
 }
 
 Dta Dta::Complement() const {
@@ -400,31 +405,55 @@ StepTable::StepTable(const Dta& dta)
   for (State q = 0; q <= num_states_; ++q) accepting_[q] = dta.IsAccepting(q) ? 1 : 0;
 }
 
-std::vector<State> StepTable::Run(const BinaryTree& t,
-                                  const std::vector<uint32_t>& symbols) const {
-  QPWM_CHECK_EQ(symbols.size(), t.size());
-  std::vector<State> state(t.size());
-  for (NodeId v : t.Postorder()) {
-    QPWM_CHECK_LT(symbols[v], alphabet_size());
-    State l = t.left(v) == kNoNode ? kAbsentChild : state[t.left(v)];
-    State r = t.right(v) == kNoNode ? kAbsentChild : state[t.right(v)];
-    state[v] = Step(l, r, symbols[v]);
+std::vector<State> StepTable::Run(const TreeLayout& layout, uint32_t pebble_pos,
+                                  uint32_t pebble) const {
+  // Every label is below base_count(), so every symbol read is in range.
+  QPWM_CHECK_LE(layout.base_count() + pebble, alphabet_size());
+  const size_t n = layout.size();
+  std::vector<State> state(n + 1);
+  state[n] = kAbsentChild;
+  for (uint32_t p = 0; p < n; ++p) {
+    const uint32_t sym = layout.label(p) + (p == pebble_pos ? pebble : 0);
+    state[p] = Step(state[layout.left(p)], state[layout.right(p)], sym);
   }
   return state;
 }
 
-std::vector<uint32_t> ParamSymbols(const StepTable& table,
-                                   const std::vector<uint32_t>& labels,
-                                   uint32_t base_count, uint32_t param_arity, NodeId a) {
-  QPWM_CHECK_LE(param_arity, 1u);
-  QPWM_CHECK_EQ(table.alphabet_size(), base_count << (param_arity + 1));
-  std::vector<uint32_t> sym(labels.size());
-  for (NodeId v = 0; v < labels.size(); ++v) {
-    QPWM_CHECK_LT(labels[v], base_count);
-    sym[v] = SymbolAt(labels[v], base_count, param_arity, param_arity == 1 && v == a,
-                      false);
+// ---------------------------------------------------------------------------
+// TreeLayout
+// ---------------------------------------------------------------------------
+
+Result<TreeLayout> TreeLayout::Build(const BinaryTree& t,
+                                     const std::vector<uint32_t>& labels,
+                                     uint32_t base_count) {
+  const size_t n = t.size();
+  const std::vector<NodeId>& post = t.Postorder();
+  if (n == 0 || t.root() == kNoNode || post.size() != n) {
+    return Status::InvalidArgument("tree is empty or not finalized");
   }
-  return sym;
+  if (labels.size() != n) {
+    return Status::InvalidArgument("one label per tree node required");
+  }
+  if (*std::max_element(labels.begin(), labels.end()) >= base_count ||
+      base_count > UINT32_MAX >> 1) {
+    return Status::InvalidArgument("tree label outside the base alphabet");
+  }
+  TreeLayout layout;
+  layout.base_count_ = base_count;
+  const auto absent = static_cast<uint32_t>(n);
+  // pos_[v + 1] is node v's position and pos_[0] = absent, so kNoNode + 1
+  // (wrapping to 0) maps a missing child to absent without a branch.
+  layout.pos_.resize(n + 1);
+  layout.pos_[0] = absent;
+  for (uint32_t p = 0; p < n; ++p) layout.pos_[post[p] + 1] = p;
+  // Filled in node id order: the tree's arrays are read sequentially, and
+  // only the (smaller) position table is read at random.
+  layout.nodes_.resize(n);
+  for (NodeId v = 0; v < n; ++v) {
+    layout.nodes_[layout.pos_[v + 1]] = {
+        v, layout.pos_[t.left(v) + 1], labels[v] << 1 | (t.right(v) != kNoNode ? 1u : 0u)};
+  }
+  return layout;
 }
 
 // ---------------------------------------------------------------------------

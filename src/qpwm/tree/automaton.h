@@ -74,8 +74,9 @@ class Dta {
   State Step(State left, State right, uint32_t sym) const;
 
   /// Bottom-up run; `symbols[v]` is the (pebbled) label of node v. Returns
-  /// the per-node states. Builds a StepTable per call — owners that run an
-  /// automaton more than once keep a StepTable instead.
+  /// the per-node states, indexed by node id. Builds a StepTable and a
+  /// TreeLayout per call — owners that run an automaton more than once keep
+  /// both instead.
   std::vector<State> Run(const BinaryTree& t, const std::vector<uint32_t>& symbols) const;
 
   /// Root state only.
@@ -143,6 +144,58 @@ class Dta {
   std::vector<bool> accepting_;  // size num_states_ + 1 (sink last)
 };
 
+/// A finalized tree relabelled into postorder, the order every automaton
+/// run loop walks (StepTable::Run, EvaluateWa, MemberWa, FindMarkRegions):
+/// one pass over it reads each node's children from positions just behind
+/// it instead of loading node ids scattered over the tree's arrays.
+///
+/// Position p holds node id(p), its label and its children's positions,
+/// both below p; a missing child is absent() (== size()). A subtree is the
+/// range of positions ending at its root, so the tree's root sits at
+/// size() - 1, and a right child sits just below its parent: the layout
+/// stores one bit for it, so a position takes 12 bytes.
+///
+/// Built by its owner (once per TreeScheme::Plan, once per HonestTreeServer),
+/// never by the tree itself. Build checks the labels, once, so the runs over
+/// a layout check nothing per node.
+class TreeLayout {
+ public:
+  /// Lays out `t` with `labels` (one per node id). InvalidArgument when `t`
+  /// is empty, was never finalized (or its Finalize failed), grew after
+  /// Finalize, or a label is missing or not below `base_count`.
+  [[nodiscard]] static Result<TreeLayout> Build(const BinaryTree& t,
+                                                const std::vector<uint32_t>& labels,
+                                                uint32_t base_count);
+
+  size_t size() const { return nodes_.size(); }
+  /// The position standing for a missing child or a node outside the tree.
+  uint32_t absent() const { return static_cast<uint32_t>(nodes_.size()); }
+  /// Every label is below this.
+  uint32_t base_count() const { return base_count_; }
+
+  NodeId id(uint32_t p) const { return nodes_[p].id; }
+  uint32_t label(uint32_t p) const { return nodes_[p].label_and_right >> 1; }
+  uint32_t left(uint32_t p) const { return nodes_[p].left; }
+  uint32_t right(uint32_t p) const {
+    return (nodes_[p].label_and_right & 1) != 0 ? p - 1 : absent();
+  }
+  /// Position of node `v`; absent() for a node outside the tree.
+  uint32_t pos(NodeId v) const { return v < size() ? pos_[v + 1] : absent(); }
+
+ private:
+  struct Node {
+    NodeId id;
+    uint32_t left;             // position, or absent()
+    uint32_t label_and_right;  // label << 1 | (has a right child)
+  };
+
+  TreeLayout() = default;
+
+  std::vector<Node> nodes_;
+  std::vector<uint32_t> pos_;  // node id + 1 -> position; pos_[0] = absent()
+  uint32_t base_count_ = 0;
+};
+
 /// Dense, immutable transition table of a Dta: every run loop (EvaluateWa,
 /// MemberWa, FindMarkRegions, Dta::Run) steps through one instead of the
 /// Dta's hash map. Symbols with identical transition columns share a class;
@@ -171,9 +224,13 @@ class StepTable {
     return cells_[class_offset_[sym] + size_t{left + 1u} * width_ + (right + 1u)];
   }
 
-  /// Bottom-up run; `symbols[v]` is the (pebbled) label of node v. Returns
-  /// the per-node states.
-  std::vector<State> Run(const BinaryTree& t, const std::vector<uint32_t>& symbols) const;
+  /// Bottom-up run over `layout`, in position order. Position p reads
+  /// symbol label + `pebble` when p == `pebble_pos` (pass layout.absent()
+  /// for no pebble), its label otherwise. Returns the states by position,
+  /// followed by one kAbsentChild entry: the absent child's slot, so callers
+  /// read a child's state without a branch.
+  std::vector<State> Run(const TreeLayout& layout, uint32_t pebble_pos,
+                         uint32_t pebble) const;
 
  private:
   uint32_t num_states_;
@@ -183,16 +240,6 @@ class StepTable {
   std::vector<State> cells_;
   std::vector<uint8_t> accepting_;    // num_states_ + 1 (sink last)
 };
-
-/// Per-node symbols for a run of `table` over a tree labeled `labels`: the
-/// parameter pebble on node `a` (none when param_arity is 0 or `a` is not a
-/// node), no result pebble; the result pebble on node b adds
-/// base_count << param_arity. Checks that the table's alphabet is
-/// base_count x 2^(param_arity + 1) and every label is below base_count, so
-/// every pebbled symbol is in range.
-std::vector<uint32_t> ParamSymbols(const StepTable& table,
-                                   const std::vector<uint32_t>& labels,
-                                   uint32_t base_count, uint32_t param_arity, NodeId a);
 
 /// Nondeterministic bottom-up tree automaton. Produced by projection; the
 /// sink (id num_states()) behaves as in Dta: it is always a member of the

@@ -1,73 +1,101 @@
 #include "qpwm/tree/query.h"
 
-#include <algorithm>
-
 #include "qpwm/util/check.h"
 
 namespace qpwm {
 
-bool MemberWa(const BinaryTree& t, const std::vector<uint32_t>& base_labels,
-              uint32_t base_count, const StepTable& table, uint32_t param_arity,
+namespace {
+
+void CheckQueryAlphabet(const TreeLayout& layout, const StepTable& table,
+                        uint32_t param_arity) {
+  QPWM_CHECK_LE(param_arity, 1u);
+  QPWM_CHECK_EQ(table.alphabet_size(), layout.base_count() << (param_arity + 1));
+}
+
+/// Position of the parameter pebble: `a`'s, or none.
+uint32_t ParamPos(const TreeLayout& layout, uint32_t param_arity, NodeId a) {
+  return param_arity == 1 ? layout.pos(a) : layout.absent();
+}
+
+}  // namespace
+
+bool MemberWa(const TreeLayout& layout, const StepTable& table, uint32_t param_arity,
               NodeId a, NodeId b) {
-  std::vector<uint32_t> sym =
-      ParamSymbols(table, base_labels, base_count, param_arity, a);
-  if (b < t.size()) sym[b] += base_count << param_arity;
-  return table.IsAccepting(table.Run(t, sym)[t.root()]);
+  CheckQueryAlphabet(layout, table, param_arity);
+  const uint32_t a_pos = ParamPos(layout, param_arity, a);
+  const uint32_t b_pos = layout.pos(b);
+  const uint32_t b_pebble = layout.base_count() << param_arity;
+  // StepTable::Run places one pebble; this pass places both.
+  const size_t n = layout.size();
+  std::vector<State> state(n + 1);
+  state[n] = kAbsentChild;
+  for (uint32_t p = 0; p < n; ++p) {
+    const uint32_t sym = layout.label(p) + (p == a_pos ? layout.base_count() : 0) +
+                         (p == b_pos ? b_pebble : 0);
+    state[p] = table.Step(state[layout.left(p)], state[layout.right(p)], sym);
+  }
+  return table.IsAccepting(state[n - 1]);
 }
 
 bool MemberWa(const BinaryTree& t, const std::vector<uint32_t>& base_labels,
               uint32_t base_count, const Dta& dta, uint32_t param_arity, NodeId a,
               NodeId b) {
-  return MemberWa(t, base_labels, base_count, StepTable(dta), param_arity, a, b);
+  return MemberWa(TreeLayout::Build(t, base_labels, base_count).ValueOrDie(),
+                  StepTable(dta), param_arity, a, b);
 }
 
-std::vector<NodeId> EvaluateWa(const BinaryTree& t,
-                               const std::vector<uint32_t>& base_labels,
-                               uint32_t base_count, const StepTable& table,
-                               uint32_t param_arity, NodeId a) {
-  const size_t n = t.size();
+std::vector<uint8_t> EvaluateWaByPosition(const TreeLayout& layout,
+                                          const StepTable& table,
+                                          uint32_t param_arity, NodeId a) {
+  CheckQueryAlphabet(layout, table, param_arity);
+  const size_t n = layout.size();
   const uint32_t m = table.num_states() + 1;  // sink included
-  const std::vector<uint32_t> sym =
-      ParamSymbols(table, base_labels, base_count, param_arity, a);
-  const uint32_t b_pebble = base_count << param_arity;
+  const uint32_t a_pos = ParamPos(layout, param_arity, a);
+  const uint32_t a_pebble = layout.base_count();
+  const uint32_t b_pebble = layout.base_count() << param_arity;
 
   // Pass 1: states with only the parameter pebble placed (no b).
-  const std::vector<State> sa = table.Run(t, sym);
+  const std::vector<State> sa = table.Run(layout, a_pos, a_pebble);
 
-  // Pass 2 (top-down): ctx[v][q] = would the root accept if the state at v
-  // were forced to q (everything else as in pass 1)? Parents come before
-  // children (reverse postorder), so ctx[v] is complete when v is visited,
-  // and then b = v is in W_a iff ctx[v][state of v with the b pebble set].
-  std::vector<uint8_t> ctx(n * m);
-  auto ctx_at = [&](NodeId v, State q) -> uint8_t& { return ctx[v * m + q]; };
+  // Pass 2 (top-down): ctx[p][q] = would the root accept if the state at p
+  // were forced to q (everything else as in pass 1)? Positions run from the
+  // root down, parents before children, so ctx[p] is complete when p is
+  // visited, and then b = p is in W_a iff ctx[p][state of p with the b
+  // pebble set].
+  // An absent child's context goes to a spare row at absent(), which is
+  // never read: cheaper than a branch that mispredicts on most nodes.
+  std::vector<uint8_t> ctx((n + 1) * m);
   std::vector<uint8_t> member(n);
-
-  for (State q = 0; q < m; ++q) {
-    ctx_at(t.root(), q) = table.IsAccepting(q) ? 1 : 0;
+  for (State q = 0; q < m; ++q) ctx[(n - 1) * m + q] = table.IsAccepting(q) ? 1 : 0;
+  for (uint32_t p = static_cast<uint32_t>(n); p-- > 0;) {
+    const uint32_t left = layout.left(p);
+    const uint32_t right = layout.right(p);
+    const uint32_t sym = layout.label(p) + (p == a_pos ? a_pebble : 0);
+    const State ls = sa[left];
+    const State rs = sa[right];
+    const uint8_t* here = &ctx[size_t{p} * m];
+    member[p] = here[table.Step(ls, rs, sym + b_pebble)];
+    uint8_t* lc = &ctx[size_t{left} * m];
+    for (State q = 0; q < m; ++q) lc[q] = here[table.Step(q, rs, sym)];
+    uint8_t* rc = &ctx[size_t{right} * m];
+    for (State q = 0; q < m; ++q) rc[q] = here[table.Step(ls, q, sym)];
   }
-  const auto& post = t.Postorder();
-  for (auto it = post.rbegin(); it != post.rend(); ++it) {
-    NodeId v = *it;
-    NodeId lc = t.left(v);
-    NodeId rc = t.right(v);
-    State ls = lc == kNoNode ? kAbsentChild : sa[lc];
-    State rs = rc == kNoNode ? kAbsentChild : sa[rc];
-    member[v] = ctx_at(v, table.Step(ls, rs, sym[v] + b_pebble));
-    if (lc != kNoNode) {
-      for (State q = 0; q < m; ++q) {
-        ctx_at(lc, q) = ctx_at(v, table.Step(q, rs, sym[v]));
-      }
-    }
-    if (rc != kNoNode) {
-      for (State q = 0; q < m; ++q) {
-        ctx_at(rc, q) = ctx_at(v, table.Step(ls, q, sym[v]));
-      }
-    }
-  }
+  return member;
+}
 
+std::vector<NodeId> EvaluateWa(const TreeLayout& layout, const StepTable& table,
+                               uint32_t param_arity, NodeId a) {
+  const std::vector<uint8_t> by_pos = EvaluateWaByPosition(layout, table, param_arity, a);
+  const size_t n = layout.size();
+  std::vector<uint8_t> member(n);
+  size_t members = 0;
+  for (uint32_t p = 0; p < n; ++p) {
+    member[layout.id(p)] = by_pos[p];
+    members += by_pos[p];
+  }
   // Branch-free compaction, as membership is close to a coin flip per node;
   // the spare last slot takes the writes after the last member.
-  std::vector<NodeId> out(std::count(member.begin(), member.end(), uint8_t{1}) + 1);
+  std::vector<NodeId> out(members + 1);
   size_t count = 0;
   for (NodeId b = 0; b < n; ++b) {
     out[count] = b;
@@ -75,6 +103,14 @@ std::vector<NodeId> EvaluateWa(const BinaryTree& t,
   }
   out.pop_back();
   return out;
+}
+
+std::vector<NodeId> EvaluateWa(const BinaryTree& t,
+                               const std::vector<uint32_t>& base_labels,
+                               uint32_t base_count, const StepTable& table,
+                               uint32_t param_arity, NodeId a) {
+  return EvaluateWa(TreeLayout::Build(t, base_labels, base_count).ValueOrDie(), table,
+                    param_arity, a);
 }
 
 std::vector<NodeId> EvaluateWa(const BinaryTree& t,

@@ -5,8 +5,10 @@
 // (bottom-up states with the parameter pebble placed, then a top-down
 // acceptance-context table), instead of the naive O(n^2) reruns: about
 // (m + 2) * n automaton steps for m states (sink included), each two array
-// loads on a StepTable. Build the table once per automaton and pass it to
-// every call; the Dta overloads build one per call.
+// loads on a StepTable, walking a TreeLayout in position order. Build the
+// table once per automaton and the layout once per tree, and pass both to
+// every call; the BinaryTree overloads lay the tree out per call, and the
+// Dta overloads also build a table per call.
 // Pebble track convention (SymbolAt): track 0 = parameter a (if any),
 // track 1 (or 0 when there is no parameter) = result b. A parameter outside
 // the tree places no pebble.
@@ -25,15 +27,25 @@ namespace qpwm {
 
 /// Membership test b in W_a: one run over T_ab. `param_arity` is 0 or 1;
 /// with 0, `a` is ignored and the automaton has a single (result) track.
-/// The table's alphabet must be base_count x 2^(param_arity + 1).
-bool MemberWa(const BinaryTree& t, const std::vector<uint32_t>& base_labels,
-              uint32_t base_count, const StepTable& table, uint32_t param_arity,
+/// The table's alphabet must be base_count x 2^(param_arity + 1). A node
+/// outside the tree places no pebble.
+bool MemberWa(const TreeLayout& layout, const StepTable& table, uint32_t param_arity,
               NodeId a, NodeId b);
+/// Same, laying out `t` and building the StepTable of `dta` for this call
+/// (a finalized tree with valid labels).
 bool MemberWa(const BinaryTree& t, const std::vector<uint32_t>& base_labels,
               uint32_t base_count, const Dta& dta, uint32_t param_arity, NodeId a,
               NodeId b);
 
+/// W_a as one flag per layout position (1 = member), via the context DP.
+std::vector<uint8_t> EvaluateWaByPosition(const TreeLayout& layout,
+                                          const StepTable& table,
+                                          uint32_t param_arity, NodeId a);
+
 /// Full answer set W_a (sorted node ids), via the context DP.
+std::vector<NodeId> EvaluateWa(const TreeLayout& layout, const StepTable& table,
+                               uint32_t param_arity, NodeId a);
+/// Same, laying out `t` for this call (a finalized tree with valid labels).
 std::vector<NodeId> EvaluateWa(const BinaryTree& t,
                                const std::vector<uint32_t>& base_labels,
                                uint32_t base_count, const StepTable& table,

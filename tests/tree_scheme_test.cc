@@ -303,6 +303,47 @@ TEST_F(TreeSchemeTest, OutOfTreeParamGetsEmptyAnswer) {
   }
 }
 
+// --- Trees that cannot be laid out -------------------------------------------
+
+/// An empty tree, one that was never finalized, and one whose Finalize
+/// failed (two roots).
+std::vector<BinaryTree> TreesWithoutLayout() {
+  std::vector<BinaryTree> trees(3);
+  for (BinaryTree* t : {&trees[1], &trees[2]}) {
+    for (uint32_t i = 0; i < 4; ++i) t->AddNode(i % 3);
+    t->SetLeft(0, 1);
+  }
+  EXPECT_FALSE(trees[2].Finalize().ok());
+  return trees;
+}
+
+TEST_F(TreeSchemeTest, PlanRejectsTreesWithoutLayout) {
+  for (const BinaryTree& t : TreesWithoutLayout()) {
+    auto planned = TreeScheme::Plan(t, t.labels(), 3, query_, 1, Options());
+    ASSERT_FALSE(planned.ok()) << t.size() << " nodes";
+    EXPECT_EQ(planned.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
+TEST_F(TreeSchemeTest, ServerOverTreeWithoutLayoutAnswersEmpty) {
+  for (const BinaryTree& t : TreesWithoutLayout()) {
+    HonestTreeServer server(t, t.labels(), 3, query_, 1, WeightMap(1, t.size()));
+    EXPECT_TRUE(server.Answer(Tuple{0}).empty()) << t.size() << " nodes";
+    FlatAnswerBatch flat;
+    server.AnswerAllFlat({Tuple{0}, Tuple{1}}, flat);
+    EXPECT_EQ(flat.num_params(), 2u);
+    EXPECT_EQ(flat.num_rows(), 0u) << t.size() << " nodes";
+  }
+}
+
+TEST_F(TreeSchemeTest, RegionSearchChecksFilterSize) {
+  Rng rng(62);
+  BinaryTree t = RandomBinaryTree(50, 3, rng);
+  const std::vector<bool> short_filter(t.size() - 1, true);
+  EXPECT_DEATH(FindMarkRegions(t, t.labels(), 3, query_, 1, {}, nullptr, &short_filter),
+               "candidate_filter");
+}
+
 // --- Pinned plans -------------------------------------------------------------
 
 /// FNV-1a digest of everything a plan decides: its regions (root, holes,

@@ -2,8 +2,9 @@
 //
 // The file set is the union of the TUs named in compile_commands.json (when
 // given) and a walk of src/tools/tests/bench/examples under --root picking up
-// headers and sources. Explicit paths bypass the walk (and its fixture
-// exclusion), which is how the self-tests lint known-bad snippets.
+// headers and sources. Explicit paths, files or directories, bypass the
+// walk's fixture exclusion (build trees are still skipped), which is how the
+// self-tests lint known-bad snippets.
 #include <algorithm>
 #include <chrono>
 #include <filesystem>
@@ -23,11 +24,13 @@ bool IsSourceFile(const fs::path& p) {
   return ext == ".h" || ext == ".cc" || ext == ".cpp" || ext == ".hpp";
 }
 
+bool IsBuildTree(const std::string& path) {
+  return path.find("/build") != std::string::npos || path.find("build/") == 0;
+}
+
 bool IsExcluded(const std::string& path) {
   // Known-bad lint fixtures and build trees are never part of a tree walk.
-  return path.find("lint_fixtures") != std::string::npos ||
-         path.find("/build") != std::string::npos ||
-         path.find("build/") == 0;
+  return path.find("lint_fixtures") != std::string::npos || IsBuildTree(path);
 }
 
 bool ReadFile(const std::string& path, std::string& out) {
@@ -39,7 +42,9 @@ bool ReadFile(const std::string& path, std::string& out) {
   return true;
 }
 
-void WalkDir(const fs::path& dir, bool skip_excluded,
+// Collects the source files under `dir`, skipping build trees and, with
+// `skip_fixtures`, the lint fixtures.
+void WalkDir(const fs::path& dir, bool skip_fixtures,
              std::vector<std::string>& out) {
   std::error_code ec;
   for (fs::recursive_directory_iterator it(dir, ec), end; it != end;
@@ -47,7 +52,7 @@ void WalkDir(const fs::path& dir, bool skip_excluded,
     if (ec) break;
     if (!it->is_regular_file(ec) || !IsSourceFile(it->path())) continue;
     std::string p = it->path().generic_string();
-    if (skip_excluded && IsExcluded(p)) continue;
+    if (skip_fixtures ? IsExcluded(p) : IsBuildTree(p)) continue;
     out.push_back(std::move(p));
   }
 }
@@ -84,7 +89,7 @@ bool RunLint(const DriverOptions& opt, DriverResult& result) {
     for (const std::string& p : opt.paths) {
       std::error_code ec;
       if (fs::is_directory(p, ec)) {
-        WalkDir(p, /*skip_excluded=*/true, files);
+        WalkDir(p, /*skip_fixtures=*/false, files);
       } else if (fs::is_regular_file(p, ec)) {
         files.push_back(p);  // explicit files are always linted
       } else {
@@ -99,7 +104,7 @@ bool RunLint(const DriverOptions& opt, DriverResult& result) {
     for (const char* sub : {"src", "tools", "tests", "bench", "examples"}) {
       const fs::path dir = fs::path(opt.root) / sub;
       std::error_code ec;
-      if (fs::is_directory(dir, ec)) WalkDir(dir, /*skip_excluded=*/true, files);
+      if (fs::is_directory(dir, ec)) WalkDir(dir, /*skip_fixtures=*/true, files);
     }
   }
   // Dedup by canonical path so compile_commands + walk overlap lints once.
