@@ -61,9 +61,10 @@ Row RunInstance(const BinaryTree& t, const Dta& query, uint64_t seed,
     if (check_distortion) {
       Weight worst = 0;
       const StepTable step_table(query);
+      const TreeLayout layout = TreeLayout::Build(t, t.labels(), 3).ValueOrDie();
       for (NodeId a = 0; a < t.size(); ++a) {
         Weight f0 = 0, f1 = 0;
-        for (NodeId b : EvaluateWa(t, t.labels(), 3, step_table, 1, a)) {
+        for (NodeId b : EvaluateWa(layout, step_table, 1, a)) {
           f0 += w.GetElem(b);
           f1 += marked.GetElem(b);
         }

@@ -45,10 +45,11 @@ int main() {
       marked = scheme.Embed(enc.weights, mark);
     }
     const StepTable step_table(compiled.dta);
+    const TreeLayout layout =
+        TreeLayout::Build(enc.tree, enc.tree.labels(), base).ValueOrDie();
     for (NodeId p : query.ParamTreeNodes(enc)) {
       Weight f0 = 0, f1 = 0;
-      for (NodeId b :
-           EvaluateWa(enc.tree, enc.tree.labels(), base, step_table, 1, p)) {
+      for (NodeId b : EvaluateWa(layout, step_table, 1, p)) {
         f0 += enc.weights.GetElem(b);
         f1 += marked.GetElem(b);
       }
@@ -88,10 +89,11 @@ int main() {
       bool detect_ok = true;
       if (students <= 800) {
         const StepTable step_table(compiled.dta);
+        const TreeLayout layout =
+            TreeLayout::Build(enc.tree, enc.tree.labels(), base).ValueOrDie();
         for (NodeId p : query.ParamTreeNodes(enc)) {
           Weight f0 = 0, f1 = 0;
-          for (NodeId b :
-               EvaluateWa(enc.tree, enc.tree.labels(), base, step_table, 1, p)) {
+          for (NodeId b : EvaluateWa(layout, step_table, 1, p)) {
             f0 += enc.weights.GetElem(b);
             f1 += marked.GetElem(b);
           }

@@ -35,10 +35,11 @@ int main() {
   TextTable before("f values on the original document");
   before.SetHeader({"firstname", "f = sum of exams"});
   const StepTable step_table(compiled.dta);
+  const TreeLayout layout =
+      TreeLayout::Build(encoded.tree, encoded.tree.labels(), base).ValueOrDie();
   for (NodeId p : query.ParamTreeNodes(encoded)) {
     Weight f = 0;
-    for (NodeId b : EvaluateWa(encoded.tree, encoded.tree.labels(), base, step_table,
-                               1, p)) {
+    for (NodeId b : EvaluateWa(layout, step_table, 1, p)) {
       f += encoded.weights.GetElem(b);
     }
     before.AddRow({encoded.sigma.Name(encoded.tree.label(p)), StrCat(f)});
