@@ -182,8 +182,7 @@ BENCHMARK(BM_LocalSchemePlan)->Arg(1000)->Arg(4000);
 struct TreeFixtureData {
   Alphabet sigma;
   BinaryTree tree;
-  Dta dta{0, 1};
-  StepTable table{dta};  // rebuilt from the compiled automaton below
+  std::optional<TreeQuery> query;
   std::optional<TreeLayout> layout;
 
   explicit TreeFixtureData(size_t n) {
@@ -192,10 +191,10 @@ struct TreeFixtureData {
     sigma.Intern("c");
     Rng rng(6);
     tree = RandomBinaryTree(n, 3, rng);
-    dta = CompileMso(*MustParseFormula("LEQ(u, v) & P_b(v)"), sigma, {"u", "v"})
-              .ValueOrDie()
-              .dta;
-    table = StepTable(dta);
+    const Dta dta = CompileMso(*MustParseFormula("LEQ(u, v) & P_b(v)"), sigma, {"u", "v"})
+                        .ValueOrDie()
+                        .dta;
+    query.emplace(TreeQuery::Compile(dta, 3, 1).ValueOrDie());
     layout.emplace(TreeLayout::Build(tree, tree.labels(), 3).ValueOrDie());
   }
 };
@@ -215,7 +214,7 @@ void BM_AutomatonRun(benchmark::State& state) {
   const TreeLayout& layout = *fixture.layout;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        fixture.table.Run(layout, layout.absent(), 0)[layout.size() - 1]);
+        fixture.query->table().Run(layout, layout.absent(), 0)[layout.size() - 1]);
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
@@ -225,7 +224,7 @@ void BM_EvaluateWa(benchmark::State& state) {
   TreeFixtureData fixture(static_cast<size_t>(state.range(0)));
   NodeId a = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(EvaluateWa(*fixture.layout, fixture.table, 1, a));
+    benchmark::DoNotOptimize(EvaluateWa(*fixture.layout, *fixture.query, a));
     a = (a + 1) % fixture.tree.size();
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
@@ -237,7 +236,7 @@ void BM_FindMarkRegions(benchmark::State& state) {
   for (auto _ : state) {
     DecompositionStats stats;
     benchmark::DoNotOptimize(
-        FindMarkRegions(*fixture.layout, fixture.table, 1, {}, &stats));
+        FindMarkRegions(*fixture.layout, *fixture.query, {}, &stats));
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }

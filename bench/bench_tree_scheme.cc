@@ -51,8 +51,10 @@ Row RunInstance(const BinaryTree& t, const Dta& query, uint64_t seed,
   row.detect_ok = true;
 
   // Active count (for the |W|/4m shape).
-  Dta exists_a = ProjectParamTrack(query, 3);
-  row.active = EvaluateWa(t, t.labels(), 3, exists_a, 0, 0).size();
+  const TreeLayout layout = TreeLayout::Build(t, t.labels(), 3).ValueOrDie();
+  const TreeQuery exists_a =
+      TreeQuery::Compile(ProjectParamTrack(query, 3), 3, 0).ValueOrDie();
+  row.active = EvaluateWa(layout, exists_a, 0).size();
 
   if (row.bits > 0) {
     BitVec mark(row.bits);
@@ -60,11 +62,10 @@ Row RunInstance(const BinaryTree& t, const Dta& query, uint64_t seed,
     WeightMap marked = scheme.Embed(w, mark);
     if (check_distortion) {
       Weight worst = 0;
-      const StepTable step_table(query);
-      const TreeLayout layout = TreeLayout::Build(t, t.labels(), 3).ValueOrDie();
+      const TreeQuery compiled = TreeQuery::Compile(query, 3, 1).ValueOrDie();
       for (NodeId a = 0; a < t.size(); ++a) {
         Weight f0 = 0, f1 = 0;
-        for (NodeId b : EvaluateWa(layout, step_table, 1, a)) {
+        for (NodeId b : EvaluateWa(layout, compiled, a)) {
           f0 += w.GetElem(b);
           f1 += marked.GetElem(b);
         }

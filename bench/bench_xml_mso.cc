@@ -44,12 +44,12 @@ int main() {
       BitVec mark(scheme.CapacityBits(), true);
       marked = scheme.Embed(enc.weights, mark);
     }
-    const StepTable step_table(compiled.dta);
+    const TreeQuery tree_query = TreeQuery::Compile(compiled.dta, base, 1).ValueOrDie();
     const TreeLayout layout =
         TreeLayout::Build(enc.tree, enc.tree.labels(), base).ValueOrDie();
     for (NodeId p : query.ParamTreeNodes(enc)) {
       Weight f0 = 0, f1 = 0;
-      for (NodeId b : EvaluateWa(layout, step_table, 1, p)) {
+      for (NodeId b : EvaluateWa(layout, tree_query, p)) {
         f0 += enc.weights.GetElem(b);
         f1 += marked.GetElem(b);
       }
@@ -88,12 +88,12 @@ int main() {
       Weight worst = 0;
       bool detect_ok = true;
       if (students <= 800) {
-        const StepTable step_table(compiled.dta);
+        const TreeQuery tree_query = TreeQuery::Compile(compiled.dta, base, 1).ValueOrDie();
         const TreeLayout layout =
             TreeLayout::Build(enc.tree, enc.tree.labels(), base).ValueOrDie();
         for (NodeId p : query.ParamTreeNodes(enc)) {
           Weight f0 = 0, f1 = 0;
-          for (NodeId b : EvaluateWa(layout, step_table, 1, p)) {
+          for (NodeId b : EvaluateWa(layout, tree_query, p)) {
             f0 += enc.weights.GetElem(b);
             f1 += marked.GetElem(b);
           }

@@ -34,12 +34,12 @@ int main() {
   // 2. The paper's f(Robert) = 28 on the original document.
   TextTable before("f values on the original document");
   before.SetHeader({"firstname", "f = sum of exams"});
-  const StepTable step_table(compiled.dta);
+  const TreeQuery tree_query = TreeQuery::Compile(compiled.dta, base, 1).ValueOrDie();
   const TreeLayout layout =
       TreeLayout::Build(encoded.tree, encoded.tree.labels(), base).ValueOrDie();
   for (NodeId p : query.ParamTreeNodes(encoded)) {
     Weight f = 0;
-    for (NodeId b : EvaluateWa(layout, step_table, 1, p)) {
+    for (NodeId b : EvaluateWa(layout, tree_query, p)) {
       f += encoded.weights.GetElem(b);
     }
     before.AddRow({encoded.sigma.Name(encoded.tree.label(p)), StrCat(f)});

@@ -13,16 +13,19 @@ HonestTreeServer::HonestTreeServer(const BinaryTree& t,
                                    const std::vector<uint32_t>& labels,
                                    uint32_t base_count, const Dta& dta,
                                    uint32_t param_arity, WeightMap weights)
-    : table_(dta), param_arity_(param_arity), weights_(std::move(weights)) {
+    : weights_(std::move(weights)) {
+  Result<TreeQuery> query = TreeQuery::Compile(dta, base_count, param_arity);
+  if (!query.ok()) return;
   Result<TreeLayout> layout = TreeLayout::Build(t, labels, base_count);
-  if (layout.ok()) layout_.emplace(std::move(layout).value());
+  if (!layout.ok()) return;
+  query_.emplace(std::move(query).value());
+  layout_.emplace(std::move(layout).value());
 }
 
 std::vector<NodeId> HonestTreeServer::Evaluate(const Tuple& params) const {
-  if (!layout_ || params.size() != param_arity_) return {};
-  if (param_arity_ == 1 && params[0] >= layout_->size()) return {};
-  NodeId a = param_arity_ == 1 ? params[0] : 0;
-  return EvaluateWa(*layout_, table_, param_arity_, a);
+  if (!query_ || !layout_ || params.size() != query_->param_arity()) return {};
+  if (!params.empty() && params[0] >= layout_->size()) return {};
+  return EvaluateWa(*layout_, *query_, params.empty() ? 0 : params[0]);
 }
 
 AnswerSet HonestTreeServer::Answer(const Tuple& params) const {
@@ -47,14 +50,9 @@ Result<TreeScheme> TreeScheme::Plan(const BinaryTree& t,
                                     uint32_t base_count, const Dta& dta,
                                     uint32_t param_arity,
                                     const TreeSchemeOptions& options) {
-  if (param_arity > 1) {
-    return Status::InvalidArgument("tree scheme supports parameter arity 0 or 1");
-  }
-  const uint32_t expected_tracks = param_arity + 1;
-  if (dta.alphabet_size() != base_count << expected_tracks) {
-    return Status::InvalidArgument(
-        "automaton alphabet does not match base alphabet x pebble tracks");
-  }
+  Result<TreeQuery> compiled = TreeQuery::Compile(dta, base_count, param_arity);
+  if (!compiled.ok()) return compiled.status();
+  const TreeQuery& query = compiled.value();
   Result<TreeLayout> laid_out = TreeLayout::Build(t, labels, base_count);
   if (!laid_out.ok()) return laid_out.status();
   const TreeLayout& layout = laid_out.value();
@@ -62,18 +60,19 @@ Result<TreeScheme> TreeScheme::Plan(const BinaryTree& t,
   TreeScheme scheme;
   scheme.options_ = options;
 
-  // One step table per automaton run below, built once and shared by every
-  // run over it.
-  const StepTable query(dta);
-
   // Active weighted elements: W = union over a of W_a. Pair candidates are
   // restricted to W so every hidden bit stays readable through answers.
+  // With a parameter, W is the projected automaton's answer set; it compiles
+  // (one track over the same base labels) whenever `query` did.
   std::vector<bool> active(t.size(), false);
   {
-    std::optional<StepTable> projected;
-    if (param_arity == 1) projected.emplace(ProjectParamTrack(dta, base_count));
+    std::optional<TreeQuery> projected;
+    if (param_arity == 1) {
+      projected.emplace(
+          TreeQuery::Compile(ProjectParamTrack(dta, base_count), base_count, 0).ValueOrDie());
+    }
     const std::vector<uint8_t> active_at =
-        EvaluateWaByPosition(layout, projected ? *projected : query, 0, 0);
+        EvaluateWaByPosition(layout, projected ? *projected : query, 0);
     for (uint32_t p = 0; p < layout.size(); ++p) active[layout.id(p)] = active_at[p] != 0;
   }
 
@@ -82,7 +81,7 @@ Result<TreeScheme> TreeScheme::Plan(const BinaryTree& t,
   dopts.min_region_size = options.min_region_size;
   dopts.max_region_size = options.max_region_size;
   scheme.regions_ =
-      FindMarkRegions(layout, query, param_arity, dopts, &scheme.stats_, &active);
+      FindMarkRegions(layout, query, dopts, &scheme.stats_, &active);
 
   // Witness discovery. Fast path: a small shared pool of candidate
   // parameters (root + keyed-random picks), probed in sorted order; most
@@ -117,7 +116,7 @@ Result<TreeScheme> TreeScheme::Plan(const BinaryTree& t,
   }
 
   // The exact reverse run is needed only for pairs the pool misses.
-  std::optional<StepTable> swapped;
+  std::optional<TreeQuery> swapped;
   for (size_t region_idx = 0; region_idx < scheme.regions_.size(); ++region_idx) {
     const MarkRegion& region = scheme.regions_[region_idx];
     if (!region.paired()) continue;
@@ -137,10 +136,10 @@ Result<TreeScheme> TreeScheme::Plan(const BinaryTree& t,
       bool contains;
       if (!pooled.probed) {
         pooled.probed = true;
-        contains = MemberWa(layout, query, 1, pooled.a, region.b_plus);
+        contains = MemberWa(layout, query, pooled.a, region.b_plus);
       } else {
         if (pooled.member.empty()) {
-          pooled.member = EvaluateWaByPosition(layout, query, 1, pooled.a);
+          pooled.member = EvaluateWaByPosition(layout, query, pooled.a);
         }
         contains = pooled.member[layout.pos(region.b_plus)] != 0;
       }
@@ -152,10 +151,13 @@ Result<TreeScheme> TreeScheme::Plan(const BinaryTree& t,
     }
     if (found) continue;
 
-    if (!swapped) swapped.emplace(SwapPebbleTracks(dta, base_count));
-    for (NodeId a : EvaluateWa(layout, *swapped, 1, region.b_plus)) {
+    if (!swapped) {
+      swapped.emplace(
+          TreeQuery::Compile(SwapPebbleTracks(dta, base_count), base_count, 1).ValueOrDie());
+    }
+    for (NodeId a : EvaluateWa(layout, *swapped, region.b_plus)) {
       if (region_of[a] == static_cast<NodeId>(region_idx)) continue;
-      QPWM_CHECK(MemberWa(layout, query, 1, a, region.b_minus));
+      QPWM_CHECK(MemberWa(layout, query, a, region.b_minus));
       scheme.pairs_.push_back({region.b_plus, region.b_minus, Tuple{a}});
       break;
     }

@@ -22,6 +22,7 @@
 #include "qpwm/tree/automaton.h"
 #include "qpwm/tree/bintree.h"
 #include "qpwm/tree/decomposition.h"
+#include "qpwm/tree/query.h"
 #include "qpwm/util/bitvec.h"
 #include "qpwm/util/hash.h"
 #include "qpwm/util/status.h"
@@ -46,13 +47,14 @@ struct TreeSchemeOptions {
 };
 
 /// A server honestly answering the automaton query over a weighted tree.
-/// It lays the tree out and builds the query's StepTable once, at
-/// construction (so neither the tree, the labels nor `dta` need outlive
-/// it), and serves batches flat: AnswerAllFlat writes unary rows straight
-/// into the batch, with no AnswerSet in between. A parameter of the wrong
-/// arity, or a node outside the tree, gets an empty answer; so does every
-/// parameter when the tree cannot be laid out (it is empty or was never
-/// finalized, or a label is outside the base alphabet).
+/// It compiles the query and lays the tree out once, at construction (so
+/// neither the tree, the labels nor `dta` need outlive it), and serves
+/// batches flat: AnswerAllFlat writes unary rows straight into the batch,
+/// with no AnswerSet in between. A parameter of the wrong arity, or a node
+/// outside the tree, gets an empty answer; so does every parameter when the
+/// automaton does not compile (TreeQuery::Compile) or the tree cannot be
+/// laid out (it is empty or was never finalized, or a label is outside the
+/// base alphabet).
 class HonestTreeServer : public BatchAnswerServer {
  public:
   HonestTreeServer(const BinaryTree& t, const std::vector<uint32_t>& labels,
@@ -67,9 +69,9 @@ class HonestTreeServer : public BatchAnswerServer {
   /// W_a for `params`; empty for a wrong-arity or out-of-tree parameter.
   std::vector<NodeId> Evaluate(const Tuple& params) const;
 
-  std::optional<TreeLayout> layout_;  // empty when the tree has no layout
-  StepTable table_;
-  uint32_t param_arity_;
+  // Both empty unless the query compiles and the tree has a layout.
+  std::optional<TreeQuery> query_;
+  std::optional<TreeLayout> layout_;
   WeightMap weights_;
 };
 
@@ -77,9 +79,10 @@ class HonestTreeServer : public BatchAnswerServer {
 class TreeScheme {
  public:
   /// `dta` track convention: track 0 = parameter (if param_arity == 1), next
-  /// track = result node. The tree must be finalized and every label below
-  /// `base_count` (InvalidArgument otherwise). The tree, the labels and the
-  /// automaton are only read during Plan.
+  /// track = result node. InvalidArgument when the automaton does not
+  /// compile (TreeQuery::Compile), or the tree is not finalized or has a
+  /// label not below `base_count`. The tree, the labels and the automaton
+  /// are only read during Plan.
   [[nodiscard]] static Result<TreeScheme> Plan(const BinaryTree& t,
                                  const std::vector<uint32_t>& labels,
                                  uint32_t base_count, const Dta& dta,

@@ -7,6 +7,21 @@
 
 namespace qpwm {
 
+Formula::~Formula() {
+  if (!left && !right) return;
+  // Every node popped here is childless by the time it is destroyed, so its
+  // own destructor returns at once.
+  std::vector<FormulaPtr> pending;
+  if (left) pending.push_back(std::move(left));
+  if (right) pending.push_back(std::move(right));
+  while (!pending.empty()) {
+    FormulaPtr f = std::move(pending.back());
+    pending.pop_back();
+    if (f->left) pending.push_back(std::move(f->left));
+    if (f->right) pending.push_back(std::move(f->right));
+  }
+}
+
 FormulaPtr Formula::Clone() const {
   auto out = std::make_unique<Formula>();
   out->kind = kind;

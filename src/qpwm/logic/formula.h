@@ -29,6 +29,10 @@ enum class FormulaKind {
 /// One AST node. Build with the factory functions below; nodes own their
 /// children.
 struct Formula {
+  /// Takes the children apart with an explicit stack, so destroying a deep
+  /// formula does not recurse once per level.
+  ~Formula();
+
   FormulaKind kind;
 
   std::string relation;            // kAtom: relation name

@@ -60,18 +60,9 @@ State Dta::Step(State left, State right, uint32_t sym) const {
   return it == delta_.end() ? sink() : it->second;
 }
 
-std::vector<State> Dta::Run(const BinaryTree& t,
-                            const std::vector<uint32_t>& symbols) const {
+bool Dta::Accepts(const BinaryTree& t, const std::vector<uint32_t>& symbols) const {
   const TreeLayout layout = TreeLayout::Build(t, symbols, alphabet_size_).ValueOrDie();
-  const std::vector<State> by_pos = StepTable(*this).Run(layout, layout.absent(), 0);
-  std::vector<State> state(t.size());
-  for (uint32_t p = 0; p < layout.size(); ++p) state[layout.id(p)] = by_pos[p];
-  return state;
-}
-
-State Dta::RunRoot(const BinaryTree& t, const std::vector<uint32_t>& symbols) const {
-  const TreeLayout layout = TreeLayout::Build(t, symbols, alphabet_size_).ValueOrDie();
-  return StepTable(*this).Run(layout, layout.absent(), 0)[layout.size() - 1];
+  return IsAccepting(StepTable(*this).Run(layout, layout.absent(), 0)[layout.size() - 1]);
 }
 
 Dta Dta::Complement() const {

@@ -6,7 +6,8 @@
 // Representation notes:
 //  * Dta stores its transitions sparsely (a hash map): that is the shape the
 //    compile algebra builds and rewrites. Evaluation runs on a StepTable, a
-//    dense immutable copy built once per automaton owner.
+//    dense immutable copy: a query owns one inside its TreeQuery
+//    (tree/query.h), compiled once.
 //  * A Dta has `num_states()` real states plus an implicit *sink* with id
 //    `sink()` == num_states(): every missing transition goes to the sink and
 //    the sink absorbs. The sink has its own accepting flag so complementation
@@ -73,18 +74,11 @@ class Dta {
   /// delta with sink absorption and missing-key -> sink.
   State Step(State left, State right, uint32_t sym) const;
 
-  /// Bottom-up run; `symbols[v]` is the (pebbled) label of node v. Returns
-  /// the per-node states, indexed by node id. Builds a StepTable and a
-  /// TreeLayout per call — owners that run an automaton more than once keep
-  /// both instead.
-  std::vector<State> Run(const BinaryTree& t, const std::vector<uint32_t>& symbols) const;
-
-  /// Root state only.
-  State RunRoot(const BinaryTree& t, const std::vector<uint32_t>& symbols) const;
-
-  bool Accepts(const BinaryTree& t, const std::vector<uint32_t>& symbols) const {
-    return IsAccepting(RunRoot(t, symbols));
-  }
+  /// Whether the automaton accepts `t`, with `symbols[v]` the (pebbled)
+  /// label of node v: one run over a layout and a StepTable built for this
+  /// call. For checking the compile algebra; a query that runs more than
+  /// once is compiled into a TreeQuery and run over a layout built once.
+  bool Accepts(const BinaryTree& t, const std::vector<uint32_t>& symbols) const;
 
   /// Language complement: flips every accepting flag (sink included).
   Dta Complement() const;
@@ -197,14 +191,14 @@ class TreeLayout {
 };
 
 /// Dense, immutable transition table of a Dta: every run loop (EvaluateWa,
-/// MemberWa, FindMarkRegions, Dta::Run) steps through one instead of the
-/// Dta's hash map. Symbols with identical transition columns share a class;
-/// cells are laid out [class][left][right] with index 0 = absent child,
-/// 1..k = real states and k+1 = the sink, whose row and column hold the sink.
-/// So Step is two loads, with no hashing and no sink branch.
+/// MemberWa, FindMarkRegions, Dta::Accepts) steps through one instead of
+/// the Dta's hash map. Symbols with identical transition columns share a
+/// class; cells are laid out [class][left][right] with index 0 = absent
+/// child, 1..k = real states and k+1 = the sink, whose row and column hold
+/// the sink. So Step is two loads, with no hashing and no sink branch.
 ///
 /// Size: classes x (k+2)^2 states, built in one pass over the transitions.
-/// Build it once per owner and share it; it is immutable, so concurrent
+/// A TreeQuery builds it once and shares it; it is immutable, so concurrent
 /// readers need no locking.
 class StepTable {
  public:

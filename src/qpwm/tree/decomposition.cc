@@ -56,13 +56,13 @@ class SignatureTable {
 
 }  // namespace
 
-std::vector<MarkRegion> FindMarkRegions(const TreeLayout& layout, const StepTable& table,
-                                        uint32_t param_arity,
+std::vector<MarkRegion> FindMarkRegions(const TreeLayout& layout, const TreeQuery& query,
                                         const DecompositionOptions& options,
                                         DecompositionStats* stats,
                                         const std::vector<bool>* candidate_filter) {
-  QPWM_CHECK_LE(param_arity, 1u);
-  QPWM_CHECK_EQ(table.alphabet_size(), layout.base_count() << (param_arity + 1));
+  QPWM_CHECK_EQ(layout.base_count(), query.base_count());
+  const StepTable& table = query.table();
+  const uint32_t param_arity = query.param_arity();
   const size_t n = layout.size();
   QPWM_CHECK(candidate_filter == nullptr || candidate_filter->size() == n);
   const uint32_t absent = layout.absent();
@@ -332,17 +332,6 @@ std::vector<MarkRegion> FindMarkRegions(const TreeLayout& layout, const StepTabl
   }
 
   return regions;
-}
-
-std::vector<MarkRegion> FindMarkRegions(const BinaryTree& t,
-                                        const std::vector<uint32_t>& labels,
-                                        uint32_t base_count, const Dta& dta,
-                                        uint32_t param_arity,
-                                        const DecompositionOptions& options,
-                                        DecompositionStats* stats,
-                                        const std::vector<bool>* candidate_filter) {
-  return FindMarkRegions(TreeLayout::Build(t, labels, base_count).ValueOrDie(),
-                         StepTable(dta), param_arity, options, stats, candidate_filter);
 }
 
 }  // namespace qpwm

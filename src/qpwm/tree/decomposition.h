@@ -17,6 +17,7 @@
 
 #include "qpwm/tree/automaton.h"
 #include "qpwm/tree/bintree.h"
+#include "qpwm/tree/query.h"
 
 namespace qpwm {
 
@@ -52,28 +53,16 @@ struct DecompositionOptions {
   size_t max_region_size = 0;
 };
 
-/// Runs the decomposition. `table` is the query automaton (track 0 =
-/// parameter a when param_arity == 1, next track = result b). Regions are
-/// returned in discovery (bottom-up) order. `candidate_filter`, when
-/// non-null, holds one flag per node id and restricts pair candidates to
-/// nodes with a true flag (e.g. the active weighted elements, so every pair
-/// is readable through some answer set).
+/// Runs the decomposition for `query` over `layout` (built over the
+/// query's base labels). Regions are returned in discovery (bottom-up)
+/// order. `candidate_filter`, when non-null, holds one flag per node id and
+/// restricts pair candidates to nodes with a true flag (e.g. the active
+/// weighted elements, so every pair is readable through some answer set).
 ///
 /// Each search attempt computes every hole-state combination's region
 /// states once; a candidate b then changes only the states on the path
 /// from b up to the region root, so only that path is rerun per candidate.
-std::vector<MarkRegion> FindMarkRegions(const TreeLayout& layout, const StepTable& table,
-                                        uint32_t param_arity,
-                                        const DecompositionOptions& options,
-                                        DecompositionStats* stats,
-                                        const std::vector<bool>* candidate_filter =
-                                            nullptr);
-/// Same, laying out `t` and building the StepTable of `dta` for this call
-/// (a finalized tree with valid labels).
-std::vector<MarkRegion> FindMarkRegions(const BinaryTree& t,
-                                        const std::vector<uint32_t>& labels,
-                                        uint32_t base_count, const Dta& dta,
-                                        uint32_t param_arity,
+std::vector<MarkRegion> FindMarkRegions(const TreeLayout& layout, const TreeQuery& query,
                                         const DecompositionOptions& options,
                                         DecompositionStats* stats,
                                         const std::vector<bool>* candidate_filter =

@@ -4,27 +4,33 @@
 
 namespace qpwm {
 
-namespace {
-
-void CheckQueryAlphabet(const TreeLayout& layout, const StepTable& table,
-                        uint32_t param_arity) {
-  QPWM_CHECK_LE(param_arity, 1u);
-  QPWM_CHECK_EQ(table.alphabet_size(), layout.base_count() << (param_arity + 1));
+Result<TreeQuery> TreeQuery::Compile(const Dta& dta, uint32_t base_count,
+                                     uint32_t param_arity) {
+  if (param_arity > 1) {
+    return Status::InvalidArgument("tree queries take parameter arity 0 or 1");
+  }
+  if (dta.alphabet_size() != uint64_t{base_count} << (param_arity + 1)) {
+    return Status::InvalidArgument(
+        "automaton alphabet does not match base alphabet x pebble tracks");
+  }
+  return TreeQuery(dta, base_count, param_arity);
 }
 
+namespace {
+
 /// Position of the parameter pebble: `a`'s, or none.
-uint32_t ParamPos(const TreeLayout& layout, uint32_t param_arity, NodeId a) {
-  return param_arity == 1 ? layout.pos(a) : layout.absent();
+uint32_t ParamPos(const TreeLayout& layout, const TreeQuery& query, NodeId a) {
+  return query.param_arity() == 1 ? layout.pos(a) : layout.absent();
 }
 
 }  // namespace
 
-bool MemberWa(const TreeLayout& layout, const StepTable& table, uint32_t param_arity,
-              NodeId a, NodeId b) {
-  CheckQueryAlphabet(layout, table, param_arity);
-  const uint32_t a_pos = ParamPos(layout, param_arity, a);
+bool MemberWa(const TreeLayout& layout, const TreeQuery& query, NodeId a, NodeId b) {
+  QPWM_CHECK_EQ(layout.base_count(), query.base_count());
+  const StepTable& table = query.table();
+  const uint32_t a_pos = ParamPos(layout, query, a);
   const uint32_t b_pos = layout.pos(b);
-  const uint32_t b_pebble = layout.base_count() << param_arity;
+  const uint32_t b_pebble = layout.base_count() << query.param_arity();
   // StepTable::Run places one pebble; this pass places both.
   const size_t n = layout.size();
   std::vector<State> state(n + 1);
@@ -37,22 +43,15 @@ bool MemberWa(const TreeLayout& layout, const StepTable& table, uint32_t param_a
   return table.IsAccepting(state[n - 1]);
 }
 
-bool MemberWa(const BinaryTree& t, const std::vector<uint32_t>& base_labels,
-              uint32_t base_count, const Dta& dta, uint32_t param_arity, NodeId a,
-              NodeId b) {
-  return MemberWa(TreeLayout::Build(t, base_labels, base_count).ValueOrDie(),
-                  StepTable(dta), param_arity, a, b);
-}
-
 std::vector<uint8_t> EvaluateWaByPosition(const TreeLayout& layout,
-                                          const StepTable& table,
-                                          uint32_t param_arity, NodeId a) {
-  CheckQueryAlphabet(layout, table, param_arity);
+                                          const TreeQuery& query, NodeId a) {
+  QPWM_CHECK_EQ(layout.base_count(), query.base_count());
+  const StepTable& table = query.table();
   const size_t n = layout.size();
   const uint32_t m = table.num_states() + 1;  // sink included
-  const uint32_t a_pos = ParamPos(layout, param_arity, a);
+  const uint32_t a_pos = ParamPos(layout, query, a);
   const uint32_t a_pebble = layout.base_count();
-  const uint32_t b_pebble = layout.base_count() << param_arity;
+  const uint32_t b_pebble = layout.base_count() << query.param_arity();
 
   // Pass 1: states with only the parameter pebble placed (no b).
   const std::vector<State> sa = table.Run(layout, a_pos, a_pebble);
@@ -83,9 +82,9 @@ std::vector<uint8_t> EvaluateWaByPosition(const TreeLayout& layout,
   return member;
 }
 
-std::vector<NodeId> EvaluateWa(const TreeLayout& layout, const StepTable& table,
-                               uint32_t param_arity, NodeId a) {
-  const std::vector<uint8_t> by_pos = EvaluateWaByPosition(layout, table, param_arity, a);
+std::vector<NodeId> EvaluateWa(const TreeLayout& layout, const TreeQuery& query,
+                               NodeId a) {
+  const std::vector<uint8_t> by_pos = EvaluateWaByPosition(layout, query, a);
   const size_t n = layout.size();
   std::vector<uint8_t> member(n);
   size_t members = 0;
@@ -103,21 +102,6 @@ std::vector<NodeId> EvaluateWa(const TreeLayout& layout, const StepTable& table,
   }
   out.pop_back();
   return out;
-}
-
-std::vector<NodeId> EvaluateWa(const BinaryTree& t,
-                               const std::vector<uint32_t>& base_labels,
-                               uint32_t base_count, const StepTable& table,
-                               uint32_t param_arity, NodeId a) {
-  return EvaluateWa(TreeLayout::Build(t, base_labels, base_count).ValueOrDie(), table,
-                    param_arity, a);
-}
-
-std::vector<NodeId> EvaluateWa(const BinaryTree& t,
-                               const std::vector<uint32_t>& base_labels,
-                               uint32_t base_count, const Dta& dta,
-                               uint32_t param_arity, NodeId a) {
-  return EvaluateWa(t, base_labels, base_count, StepTable(dta), param_arity, a);
 }
 
 Dta ProjectParamTrack(const Dta& dta, uint32_t base_count) {
@@ -142,39 +126,6 @@ Dta SwapPebbleTracks(const Dta& dta, uint32_t base_count) {
     mapping[sym].push_back(base + base_count * swapped);
   }
   return dta.RemapSymbols(base_count * 4, mapping);
-}
-
-Structure TreeSkeletonStructure(const BinaryTree& t) {
-  Signature sig;
-  size_t s1 = sig.AddRelation("S1", 2);
-  size_t s2 = sig.AddRelation("S2", 2);
-  Structure g(sig, t.size());
-  for (NodeId v = 0; v < t.size(); ++v) {
-    if (t.left(v) != kNoNode) g.AddTuple(s1, Tuple{v, t.left(v)});
-    if (t.right(v) != kNoNode) g.AddTuple(s2, Tuple{v, t.right(v)});
-  }
-  g.Seal();
-  return g;
-}
-
-std::unique_ptr<ParametricQuery> MakeTreeQuery(const BinaryTree& t,
-                                               const std::vector<uint32_t>& base_labels,
-                                               uint32_t base_count, const Dta& dta,
-                                               uint32_t param_arity) {
-  QPWM_CHECK_LE(param_arity, 1u);
-  auto table = std::make_shared<const StepTable>(dta);
-  auto fn = [&t, &base_labels, base_count, table, param_arity](
-                const Structure&, const Tuple& params) {
-    NodeId a = param_arity == 1 ? params[0] : 0;
-    // qpwm-lint: allow(legacy-tuple-vector) — building the returned answer set (API contract)
-    std::vector<Tuple> out;
-    for (NodeId b : EvaluateWa(t, base_labels, base_count, *table, param_arity, a)) {
-      out.push_back(Tuple{b});
-    }
-    return out;
-  };
-  return std::make_unique<CallbackQuery>("tree-automaton", param_arity, 1,
-                                         std::move(fn));
 }
 
 }  // namespace qpwm

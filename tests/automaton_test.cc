@@ -58,7 +58,8 @@ TEST(DtaTest, MissingTransitionGoesToSink) {
   ASSERT_TRUE(leaf.Finalize().ok());
   // Label 1 has no leaf transition: run dies in the sink.
   EXPECT_FALSE(d.Accepts(leaf, Labels(leaf)));
-  EXPECT_EQ(d.RunRoot(leaf, Labels(leaf)), d.sink());
+  const TreeLayout layout = TreeLayout::Build(leaf, Labels(leaf), 2).ValueOrDie();
+  EXPECT_EQ(StepTable(d).Run(layout, layout.absent(), 0)[0], d.sink());
 }
 
 TEST(DtaTest, ComplementFlipsAcceptance) {

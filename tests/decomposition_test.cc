@@ -17,24 +17,30 @@ class DecompositionTest : public ::testing::Test {
     sigma_.Intern("c");
   }
 
-  Dta CompileQuery(const std::string& text, std::vector<std::string> vars) {
+  TreeQuery CompileQuery(const std::string& text, std::vector<std::string> vars) {
     FormulaPtr f = MustParseFormula(text);
-    return CompileMso(*f, sigma_, vars).ValueOrDie().dta;
+    const uint32_t param_arity = static_cast<uint32_t>(vars.size()) - 1;
+    return TreeQuery::Compile(CompileMso(*f, sigma_, vars).ValueOrDie().dta, 3, param_arity)
+        .ValueOrDie();
+  }
+
+  static TreeLayout LayOut(const BinaryTree& t) {
+    return TreeLayout::Build(t, t.labels(), 3).ValueOrDie();
   }
 
   // Exhaustively verifies the Lemma 3 neutrality property of every paired
   // region: parameters outside the region cannot distinguish b+ from b-.
-  void VerifyNeutrality(const BinaryTree& t, const Dta& dta, uint32_t param_arity,
+  void VerifyNeutrality(const TreeLayout& layout, const TreeQuery& query,
                         const std::vector<MarkRegion>& regions) {
     for (const MarkRegion& region : regions) {
       if (!region.paired()) continue;
-      std::vector<bool> in_region(t.size(), false);
+      std::vector<bool> in_region(layout.size(), false);
       for (NodeId w : region.nodes) in_region[w] = true;
-      if (param_arity == 0) continue;  // no external parameters to test
-      for (NodeId a = 0; a < t.size(); ++a) {
+      if (query.param_arity() == 0) continue;  // no external parameters to test
+      for (NodeId a = 0; a < layout.size(); ++a) {
         if (in_region[a]) continue;
-        EXPECT_EQ(MemberWa(t, t.labels(), 3, dta, 1, a, region.b_plus),
-                  MemberWa(t, t.labels(), 3, dta, 1, a, region.b_minus))
+        EXPECT_EQ(MemberWa(layout, query, a, region.b_plus),
+                  MemberWa(layout, query, a, region.b_minus))
             << "a=" << a << " pair=(" << region.b_plus << "," << region.b_minus << ")";
       }
     }
@@ -44,11 +50,11 @@ class DecompositionTest : public ::testing::Test {
 };
 
 TEST_F(DecompositionTest, RegionsAreDisjointAndPairsInside) {
-  Dta dta = CompileQuery("LEQ(u, v) & P_b(v)", {"u", "v"});
+  const TreeQuery query = CompileQuery("LEQ(u, v) & P_b(v)", {"u", "v"});
   Rng rng(31);
   BinaryTree t = RandomBinaryTree(300, 3, rng);
   DecompositionStats stats;
-  auto regions = FindMarkRegions(t, t.labels(), 3, dta, 1, {}, &stats);
+  auto regions = FindMarkRegions(LayOut(t), query, {}, &stats);
 
   std::vector<int> owner(t.size(), -1);
   for (size_t i = 0; i < regions.size(); ++i) {
@@ -67,61 +73,65 @@ TEST_F(DecompositionTest, RegionsAreDisjointAndPairsInside) {
 }
 
 TEST_F(DecompositionTest, NeutralityHolds) {
-  Dta dta = CompileQuery("LEQ(u, v) & P_b(v)", {"u", "v"});
+  const TreeQuery query = CompileQuery("LEQ(u, v) & P_b(v)", {"u", "v"});
   Rng rng(32);
   for (int trial = 0; trial < 3; ++trial) {
     BinaryTree t = RandomBinaryTree(120 + rng.Below(150), 3, rng);
     DecompositionStats stats;
-    auto regions = FindMarkRegions(t, t.labels(), 3, dta, 1, {}, &stats);
-    VerifyNeutrality(t, dta, 1, regions);
+    const TreeLayout layout = LayOut(t);
+    auto regions = FindMarkRegions(layout, query, {}, &stats);
+    VerifyNeutrality(layout, query, regions);
   }
 }
 
 TEST_F(DecompositionTest, NeutralityOnChainTrees) {
-  Dta dta = CompileQuery("S1(u, v) | S2(u, v) | LEQ(v, u)", {"u", "v"});
+  const TreeQuery query = CompileQuery("S1(u, v) | S2(u, v) | LEQ(v, u)", {"u", "v"});
   BinaryTree t = ChainTree(200, 3);
   DecompositionStats stats;
-  auto regions = FindMarkRegions(t, t.labels(), 3, dta, 1, {}, &stats);
-  VerifyNeutrality(t, dta, 1, regions);
+  const TreeLayout layout = LayOut(t);
+  auto regions = FindMarkRegions(layout, query, {}, &stats);
+  VerifyNeutrality(layout, query, regions);
 }
 
 TEST_F(DecompositionTest, ParamFreeQuery) {
-  Dta dta = CompileQuery("P_b(v) & ~ROOT(v)", {"v"});
+  const TreeQuery query = CompileQuery("P_b(v) & ~ROOT(v)", {"v"});
   Rng rng(33);
   BinaryTree t = RandomBinaryTree(150, 3, rng);
   DecompositionStats stats;
-  auto regions = FindMarkRegions(t, t.labels(), 3, dta, 0, {}, &stats);
+  const TreeLayout layout = LayOut(t);
+  auto regions = FindMarkRegions(layout, query, {}, &stats);
   EXPECT_GT(stats.paired, 0u);
   // For k = 0 neutrality means membership in W itself is equal.
   for (const auto& region : regions) {
     if (!region.paired()) continue;
-    EXPECT_EQ(MemberWa(t, t.labels(), 3, dta, 0, 0, region.b_plus),
-              MemberWa(t, t.labels(), 3, dta, 0, 0, region.b_minus));
+    EXPECT_EQ(MemberWa(layout, query, 0, region.b_plus),
+              MemberWa(layout, query, 0, region.b_minus));
   }
 }
 
 TEST_F(DecompositionTest, CapacityGrowsLinearly) {
-  Dta dta = CompileQuery("LEQ(u, v) & P_b(v)", {"u", "v"});
+  const TreeQuery query = CompileQuery("LEQ(u, v) & P_b(v)", {"u", "v"});
   Rng rng(34);
   size_t last_paired = 0;
   for (size_t n : {200, 400, 800}) {
     BinaryTree t = RandomBinaryTree(n, 3, rng);
     DecompositionStats stats;
-    FindMarkRegions(t, t.labels(), 3, dta, 1, {}, &stats);
+    FindMarkRegions(LayOut(t), query, {}, &stats);
     EXPECT_GT(stats.paired, last_paired);
     last_paired = stats.paired;
   }
 }
 
 TEST_F(DecompositionTest, KeyedShuffleChangesPairs) {
-  Dta dta = CompileQuery("LEQ(u, v) & P_b(v)", {"u", "v"});
+  const TreeQuery query = CompileQuery("LEQ(u, v) & P_b(v)", {"u", "v"});
   Rng rng(35);
   BinaryTree t = RandomBinaryTree(400, 3, rng);
   DecompositionOptions o1, o2;
   o1.shuffle_seed = 1;
   o2.shuffle_seed = 2;
-  auto r1 = FindMarkRegions(t, t.labels(), 3, dta, 1, o1, nullptr);
-  auto r2 = FindMarkRegions(t, t.labels(), 3, dta, 1, o2, nullptr);
+  const TreeLayout layout = LayOut(t);
+  auto r1 = FindMarkRegions(layout, query, o1, nullptr);
+  auto r2 = FindMarkRegions(layout, query, o2, nullptr);
   // Same decomposition skeleton is likely, but at least one pair should
   // differ between keys (the attacker cannot predict pair positions).
   bool any_diff = r1.size() != r2.size();
@@ -132,12 +142,12 @@ TEST_F(DecompositionTest, KeyedShuffleChangesPairs) {
 }
 
 TEST_F(DecompositionTest, CandidateFilterRespected) {
-  Dta dta = CompileQuery("LEQ(u, v) & P_b(v)", {"u", "v"});
+  const TreeQuery query = CompileQuery("LEQ(u, v) & P_b(v)", {"u", "v"});
   Rng rng(36);
   BinaryTree t = RandomBinaryTree(300, 3, rng);
   std::vector<bool> filter(t.size(), false);
   for (NodeId v = 0; v < t.size(); ++v) filter[v] = t.label(v) == 1;
-  auto regions = FindMarkRegions(t, t.labels(), 3, dta, 1, {}, nullptr, &filter);
+  auto regions = FindMarkRegions(LayOut(t), query, {}, nullptr, &filter);
   for (const auto& region : regions) {
     if (!region.paired()) continue;
     EXPECT_TRUE(filter[region.b_plus]);
@@ -146,12 +156,12 @@ TEST_F(DecompositionTest, CandidateFilterRespected) {
 }
 
 TEST_F(DecompositionTest, MinRegionSizeHonored) {
-  Dta dta = CompileQuery("LEQ(u, v) & P_b(v)", {"u", "v"});
+  const TreeQuery query = CompileQuery("LEQ(u, v) & P_b(v)", {"u", "v"});
   Rng rng(37);
   BinaryTree t = RandomBinaryTree(300, 3, rng);
   DecompositionOptions opts;
   opts.min_region_size = 40;
-  auto regions = FindMarkRegions(t, t.labels(), 3, dta, 1, opts, nullptr);
+  auto regions = FindMarkRegions(LayOut(t), query, opts, nullptr);
   for (const auto& region : regions) {
     EXPECT_GE(region.nodes.size(), 40u);
   }

@@ -17,10 +17,10 @@ namespace {
 std::vector<Finding> Analyze(const std::string& path, std::string_view src) {
   FileScan scan = ScanSource(path, src);
   LintContext ctx;
-  CollectContext(scan, ctx);
+  const FileSymbols syms = CollectContext(scan, ctx);
   FinalizeContext(ctx);
   std::vector<Finding> out;
-  AnalyzeFile(scan, ctx, out);
+  AnalyzeFile(scan, syms, ctx, out);
   return out;
 }
 
@@ -34,10 +34,10 @@ std::vector<Finding> AnalyzeWith(
     CollectContext(scan, ctx);
   }
   FileScan scan = ScanSource(path, src);
-  CollectContext(scan, ctx);
+  const FileSymbols syms = CollectContext(scan, ctx);
   FinalizeContext(ctx);
   std::vector<Finding> out;
-  AnalyzeFile(scan, ctx, out);
+  AnalyzeFile(scan, syms, ctx, out);
   return out;
 }
 
@@ -346,12 +346,12 @@ TEST(LintIndex, FunctionsResolveAcrossDeclAndDefinition) {
                             "};\n"),
                  ctx);
   FileScan def = ScanSource("c.cc", "void C::Locked() { n_ += 1; }\n");
-  CollectContext(def, ctx);
+  const FileSymbols def_syms = CollectContext(def, ctx);
   FinalizeContext(ctx);
   ASSERT_TRUE(ctx.functions.count("C::Locked"));
   EXPECT_TRUE(ctx.functions["C::Locked"].requires_mutexes.count("mu_"));
   std::vector<Finding> out;
-  AnalyzeFile(def, ctx, out);
+  AnalyzeFile(def, def_syms, ctx, out);
   EXPECT_FALSE(HasRule(out, kLockDiscipline));
 }
 

@@ -1,4 +1,5 @@
 #include <gtest/gtest.h>
+#include <pthread.h>
 
 #include <chrono>
 #include <string>
@@ -218,6 +219,30 @@ TEST(FormulaTest, CloneIsDeep) {
   auto c = f->Clone();
   c->quantified_var = "w";
   EXPECT_EQ(f->quantified_var, "y");
+}
+
+TEST(FormulaTest, DeepChainIsDestroyedOnASmallStack) {
+  // 10^5 levels of Not and And: a destructor recursing once per level needs
+  // megabytes of stack; the thread that destroys the chain has 256 KiB.
+  FormulaPtr f = MakeAtom("P", {"x"});
+  for (int i = 0; i < 100000; ++i) {
+    f = i % 2 == 0 ? MakeNot(std::move(f)) : MakeAnd(std::move(f), MakeAtom("P", {"x"}));
+  }
+  pthread_attr_t attr;
+  ASSERT_EQ(pthread_attr_init(&attr), 0);
+  ASSERT_EQ(pthread_attr_setstacksize(&attr, 256 * 1024), 0);
+  pthread_t thread;
+  const int created = pthread_create(
+      &thread, &attr,
+      [](void* arg) -> void* {
+        static_cast<FormulaPtr*>(arg)->reset();
+        return nullptr;
+      },
+      &f);
+  pthread_attr_destroy(&attr);
+  ASSERT_EQ(created, 0);
+  ASSERT_EQ(pthread_join(thread, nullptr), 0);
+  EXPECT_EQ(f, nullptr);
 }
 
 // --- Evaluator -------------------------------------------------------------------

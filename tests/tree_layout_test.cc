@@ -98,7 +98,8 @@ TEST_F(TreeLayoutOracleTest, RunsMatchIdOrder) {
     const TreeLayout layout = TreeLayout::Build(t, t.labels(), 3).ValueOrDie();
     ASSERT_EQ(layout.size(), t.size());
     for (const NamedQuery& q : queries) {
-      const StepTable table(q.dta);
+      const TreeQuery query = TreeQuery::Compile(q.dta, 3, q.param_arity).ValueOrDie();
+      const StepTable& table = query.table();
       for (NodeId a : q.param_arity == 1 ? Params(t, rng) : std::vector<NodeId>{0}) {
         const std::string where = q.name + " on " + named.name + " a=" + std::to_string(a);
         // StepTable::Run: states by position equal the id-order states.
@@ -112,12 +113,12 @@ TEST_F(TreeLayoutOracleTest, RunsMatchIdOrder) {
           ASSERT_EQ(by_pos[p], by_id[layout.id(p)]) << where << " position " << p;
         }
         // EvaluateWa, and MemberWa on a sample of result nodes.
-        const std::vector<NodeId> wa = EvaluateWa(layout, table, q.param_arity, a);
+        const std::vector<NodeId> wa = EvaluateWa(layout, query, a);
         EXPECT_EQ(wa, IdOrderEvaluateWa(t, t.labels(), 3, table, q.param_arity, a))
             << where;
         for (int i = 0; i < 4; ++i) {
           const auto b = static_cast<NodeId>(rng.Below(t.size() + 1));
-          EXPECT_EQ(MemberWa(layout, table, q.param_arity, a, b),
+          EXPECT_EQ(MemberWa(layout, query, a, b),
                     IdOrderMemberWa(t, t.labels(), 3, table, q.param_arity, a, b))
               << where << " b=" << b;
         }
@@ -136,15 +137,18 @@ TEST_F(TreeLayoutOracleTest, XPathAutomataMatchIdOrder) {
     const TreeLayout layout = TreeLayout::Build(enc.tree, enc.tree.labels(), base).ValueOrDie();
     for (const char* xpath : {"school/student[firstname=$1]/exam", "school/student/exam"}) {
       XPathQuery q = XPathQuery::Parse(xpath).ValueOrDie();
-      const StepTable table(q.Compile(enc).ValueOrDie().dta);
+      const TreeQuery query =
+          TreeQuery::Compile(q.Compile(enc).ValueOrDie().dta, base, q.has_param() ? 1 : 0)
+              .ValueOrDie();
+      const StepTable& table = query.table();
       if (!q.has_param()) {
-        EXPECT_EQ(EvaluateWa(layout, table, 0, 0),
+        EXPECT_EQ(EvaluateWa(layout, query, 0),
                   IdOrderEvaluateWa(enc.tree, enc.tree.labels(), base, table, 0, 0))
             << xpath;
         continue;
       }
       for (NodeId p : q.ParamTreeNodes(enc)) {
-        EXPECT_EQ(EvaluateWa(layout, table, 1, p),
+        EXPECT_EQ(EvaluateWa(layout, query, p),
                   IdOrderEvaluateWa(enc.tree, enc.tree.labels(), base, table, 1, p))
             << xpath << " param " << p;
       }
@@ -186,7 +190,7 @@ TEST_F(TreeLayoutOracleTest, RegionSearchMatchesFullRerun) {
     std::vector<bool> b_labeled(t.size());
     for (NodeId v = 0; v < t.size(); ++v) b_labeled[v] = t.label(v) == 1;
     for (const NamedQuery& q : queries) {
-      const StepTable table(q.dta);
+      const TreeQuery query = TreeQuery::Compile(q.dta, 3, q.param_arity).ValueOrDie();
       for (const Sizes& sizes : {Sizes{0, 0}, Sizes{40, 0}, Sizes{3, 12}, Sizes{0, 20}}) {
         const std::vector<bool>* no_filter = nullptr;
         for (const std::vector<bool>* filter : {no_filter, &std::as_const(b_labeled)}) {
@@ -200,9 +204,9 @@ TEST_F(TreeLayoutOracleTest, RegionSearchMatchesFullRerun) {
                                     (filter != nullptr ? " filtered" : "");
           DecompositionStats got_stats, want_stats;
           const std::vector<MarkRegion> got =
-              FindMarkRegions(layout, table, q.param_arity, opts, &got_stats, filter);
+              FindMarkRegions(layout, query, opts, &got_stats, filter);
           const std::vector<MarkRegion> want = FullRerunFindMarkRegions(
-              t, t.labels(), 3, table, q.param_arity, opts, &want_stats, filter);
+              t, t.labels(), 3, query.table(), q.param_arity, opts, &want_stats, filter);
           ExpectSameRegions(got, want, where);
           EXPECT_EQ(got_stats.attempts, want_stats.attempts) << where;
           EXPECT_EQ(got_stats.paired, want_stats.paired) << where;

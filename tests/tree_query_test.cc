@@ -119,19 +119,28 @@ class TreeQueryTest : public ::testing::Test {
     return CompileMso(*f, sigma_, vars).ValueOrDie().dta;
   }
 
+  static TreeLayout LayOut(const BinaryTree& t) {
+    return TreeLayout::Build(t, t.labels(), 3).ValueOrDie();
+  }
+
+  static TreeQuery Query(const Dta& dta, uint32_t param_arity) {
+    return TreeQuery::Compile(dta, 3, param_arity).ValueOrDie();
+  }
+
   Alphabet sigma_;
 };
 
 TEST_F(TreeQueryTest, EvaluateWaMatchesMemberWa) {
-  Dta dta = CompileQuery("LEQ(u, v) & P_b(v)", {"u", "v"});
+  const TreeQuery query = Query(CompileQuery("LEQ(u, v) & P_b(v)", {"u", "v"}), 1);
   Rng rng(21);
   for (int trial = 0; trial < 6; ++trial) {
     BinaryTree t = RandomBinaryTree(2 + rng.Below(40), 3, rng);
+    const TreeLayout layout = LayOut(t);
     for (NodeId a = 0; a < t.size(); ++a) {
-      auto wa = EvaluateWa(t, t.labels(), 3, dta, 1, a);
+      auto wa = EvaluateWa(layout, query, a);
       for (NodeId b = 0; b < t.size(); ++b) {
         bool in = std::binary_search(wa.begin(), wa.end(), b);
-        EXPECT_EQ(in, MemberWa(t, t.labels(), 3, dta, 1, a, b))
+        EXPECT_EQ(in, MemberWa(layout, query, a, b))
             << "a=" << a << " b=" << b;
       }
     }
@@ -139,10 +148,10 @@ TEST_F(TreeQueryTest, EvaluateWaMatchesMemberWa) {
 }
 
 TEST_F(TreeQueryTest, EvaluateWaSemantics) {
-  Dta dta = CompileQuery("LEQ(u, v) & P_b(v)", {"u", "v"});
+  const TreeQuery query = Query(CompileQuery("LEQ(u, v) & P_b(v)", {"u", "v"}), 1);
   BinaryTree t = CompleteTree(7, 3);  // labels 0,1,2,0,1,2,0
   // W_root = b-labeled descendants of the root = nodes labeled 'b' (1).
-  auto w = EvaluateWa(t, t.labels(), 3, dta, 1, t.root());
+  auto w = EvaluateWa(LayOut(t), query, t.root());
   std::vector<NodeId> expect;
   for (NodeId v = 0; v < 7; ++v) {
     if (t.label(v) == 1) expect.push_back(v);
@@ -151,10 +160,10 @@ TEST_F(TreeQueryTest, EvaluateWaSemantics) {
 }
 
 TEST_F(TreeQueryTest, ParamArityZero) {
-  Dta dta = CompileQuery("P_c(v) & LEAF(v)", {"v"});
+  const TreeQuery query = Query(CompileQuery("P_c(v) & LEAF(v)", {"v"}), 0);
   Rng rng(22);
   BinaryTree t = RandomBinaryTree(25, 3, rng);
-  auto w = EvaluateWa(t, t.labels(), 3, dta, 0, 0);
+  auto w = EvaluateWa(LayOut(t), query, 0);
   for (NodeId v = 0; v < t.size(); ++v) {
     bool expect = t.label(v) == 2 && t.IsLeaf(v);
     EXPECT_EQ(std::binary_search(w.begin(), w.end(), v), expect);
@@ -163,24 +172,27 @@ TEST_F(TreeQueryTest, ParamArityZero) {
 
 TEST_F(TreeQueryTest, ResultPebbleOnParamNode) {
   // v = u is allowed: both pebbles on the same node.
-  Dta dta = CompileQuery("LEQ(u, v)", {"u", "v"});
+  const TreeQuery query = Query(CompileQuery("LEQ(u, v)", {"u", "v"}), 1);
   BinaryTree t = ChainTree(5, 3);
+  const TreeLayout layout = LayOut(t);
   for (NodeId a = 0; a < 5; ++a) {
-    auto w = EvaluateWa(t, t.labels(), 3, dta, 1, a);
+    auto w = EvaluateWa(layout, query, a);
     EXPECT_TRUE(std::binary_search(w.begin(), w.end(), a));
   }
 }
 
 TEST_F(TreeQueryTest, ProjectParamTrackGivesActiveSet) {
   Dta dta = CompileQuery("LEQ(u, v) & P_b(v)", {"u", "v"});
-  Dta exists_a = ProjectParamTrack(dta, 3);
+  const TreeQuery query = Query(dta, 1);
+  const TreeQuery exists_a = Query(ProjectParamTrack(dta, 3), 0);
   Rng rng(23);
   BinaryTree t = RandomBinaryTree(30, 3, rng);
-  auto active = EvaluateWa(t, t.labels(), 3, exists_a, 0, 0);
+  const TreeLayout layout = LayOut(t);
+  auto active = EvaluateWa(layout, exists_a, 0);
   // Manual union of W_a.
   std::vector<bool> expect(t.size(), false);
   for (NodeId a = 0; a < t.size(); ++a) {
-    for (NodeId b : EvaluateWa(t, t.labels(), 3, dta, 1, a)) expect[b] = true;
+    for (NodeId b : EvaluateWa(layout, query, a)) expect[b] = true;
   }
   for (NodeId v = 0; v < t.size(); ++v) {
     EXPECT_EQ(std::binary_search(active.begin(), active.end(), v), expect[v]) << v;
@@ -189,13 +201,14 @@ TEST_F(TreeQueryTest, ProjectParamTrackGivesActiveSet) {
 
 TEST_F(TreeQueryTest, SwapPebbleTracksInvertsRoles) {
   Dta dta = CompileQuery("S1(u, v)", {"u", "v"});
-  Dta swapped = SwapPebbleTracks(dta, 3);
+  const TreeQuery query = Query(dta, 1);
+  const TreeQuery swapped = Query(SwapPebbleTracks(dta, 3), 1);
   Rng rng(24);
   BinaryTree t = RandomBinaryTree(20, 3, rng);
+  const TreeLayout layout = LayOut(t);
   for (NodeId a = 0; a < t.size(); ++a) {
     for (NodeId b = 0; b < t.size(); ++b) {
-      EXPECT_EQ(MemberWa(t, t.labels(), 3, dta, 1, a, b),
-                MemberWa(t, t.labels(), 3, swapped, 1, b, a));
+      EXPECT_EQ(MemberWa(layout, query, a, b), MemberWa(layout, swapped, b, a));
     }
   }
 }
@@ -223,10 +236,13 @@ TEST_F(TreeQueryTest, StepTableMatchesDtaStepOnXPathAutomata) {
       XPathQuery q = XPathQuery::Parse(xpath).ValueOrDie();
       const Dta dta = q.Compile(enc).ValueOrDie().dta;
       ExpectTableMatchesDta(dta, xpath);
-      const StepTable table(dta);
       const auto base = static_cast<uint32_t>(enc.sigma.size());
+      const TreeQuery query =
+          TreeQuery::Compile(dta, base, q.has_param() ? 1 : 0).ValueOrDie();
+      const StepTable& table = query.table();
+      const TreeLayout layout = TreeLayout::Build(enc.tree, enc.tree.labels(), base).ValueOrDie();
       if (!q.has_param()) {
-        EXPECT_EQ(EvaluateWa(enc.tree, enc.tree.labels(), base, table, 0, 0),
+        EXPECT_EQ(EvaluateWa(layout, query, 0),
                   ReferenceEvaluateWa(enc.tree, enc.tree.labels(), base, dta, 0, 0))
             << xpath;
         continue;
@@ -235,7 +251,7 @@ TEST_F(TreeQueryTest, StepTableMatchesDtaStepOnXPathAutomata) {
       // one plane per symbol.
       EXPECT_LT(table.num_classes(), table.alphabet_size()) << xpath;
       for (NodeId p : q.ParamTreeNodes(enc)) {
-        EXPECT_EQ(EvaluateWa(enc.tree, enc.tree.labels(), base, table, 1, p),
+        EXPECT_EQ(EvaluateWa(layout, query, p),
                   ReferenceEvaluateWa(enc.tree, enc.tree.labels(), base, dta, 1, p))
             << xpath << " param " << p;
       }
@@ -244,12 +260,12 @@ TEST_F(TreeQueryTest, StepTableMatchesDtaStepOnXPathAutomata) {
 }
 
 TEST_F(TreeQueryTest, EvaluateWaMatchesHashedReference) {
-  struct Query {
+  struct NamedQuery {
     Dta dta;
     uint32_t param_arity;
     std::string name;
   };
-  std::vector<Query> queries;
+  std::vector<NamedQuery> queries;
   for (const char* text : {"LEQ(u, v) & P_b(v)", "S1(u, v)", "S2(u, v) & P_a(v)"}) {
     Dta dta = CompileQuery(text, {"u", "v"});
     queries.push_back({ProjectParamTrack(dta, 3), 0, std::string("project ") + text});
@@ -262,6 +278,7 @@ TEST_F(TreeQueryTest, EvaluateWaMatchesHashedReference) {
   Rng rng(26);
   for (size_t n : {1, 2, 3, 600}) {
     BinaryTree t = RandomBinaryTree(n, 3, rng);
+    const TreeLayout layout = LayOut(t);
     // Every node on the small trees, a sample on the large one, and always
     // one node outside the tree (no parameter pebble placed).
     std::vector<NodeId> params;
@@ -272,36 +289,15 @@ TEST_F(TreeQueryTest, EvaluateWaMatchesHashedReference) {
       for (int i = 0; i < 24; ++i) params.push_back(static_cast<NodeId>(rng.Below(n)));
     }
     params.push_back(static_cast<NodeId>(n));
-    for (const Query& q : queries) {
-      const StepTable table(q.dta);
+    for (const NamedQuery& q : queries) {
+      const TreeQuery query = Query(q.dta, q.param_arity);
       for (NodeId a : q.param_arity == 1 ? params : std::vector<NodeId>{0}) {
-        EXPECT_EQ(EvaluateWa(t, t.labels(), 3, table, q.param_arity, a),
+        EXPECT_EQ(EvaluateWa(layout, query, a),
                   ReferenceEvaluateWa(t, t.labels(), 3, q.dta, q.param_arity, a))
             << q.name << " n=" << n << " a=" << a;
       }
     }
   }
-}
-
-TEST_F(TreeQueryTest, SkeletonStructureShape) {
-  BinaryTree t = CompleteTree(7, 2);
-  Structure s = TreeSkeletonStructure(t);
-  EXPECT_EQ(s.universe_size(), 7u);
-  EXPECT_EQ(s.relation("S1").size(), 3u);
-  EXPECT_EQ(s.relation("S2").size(), 3u);
-}
-
-TEST_F(TreeQueryTest, MakeTreeQueryBridgesToParametricQuery) {
-  Dta dta = CompileQuery("LEQ(u, v)", {"u", "v"});
-  BinaryTree t = ChainTree(6, 3);
-  auto labels = t.labels();
-  auto query = MakeTreeQuery(t, labels, 3, dta, 1);
-  Structure skeleton = TreeSkeletonStructure(t);
-  EXPECT_EQ(query->ParamArity(), 1u);
-  EXPECT_EQ(query->ResultArity(), 1u);
-  // Descendants of node 2 on a left chain: {2, 3, 4, 5}.
-  auto w = query->Evaluate(skeleton, Tuple{2});
-  EXPECT_EQ(w.size(), 4u);
 }
 
 }  // namespace

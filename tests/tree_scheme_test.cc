@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 #include "qpwm/core/attack.h"
 #include "qpwm/core/tree_scheme.h"
@@ -37,10 +38,12 @@ class TreeSchemeTest : public ::testing::Test {
 
   Weight MaxQueryDrift(const BinaryTree& t, const Dta& dta, const WeightMap& w0,
                        const WeightMap& w1) {
+    const TreeLayout layout = TreeLayout::Build(t, t.labels(), 3).ValueOrDie();
+    const TreeQuery query = TreeQuery::Compile(dta, 3, 1).ValueOrDie();
     Weight worst = 0;
     for (NodeId a = 0; a < t.size(); ++a) {
       Weight f0 = 0, f1 = 0;
-      for (NodeId b : EvaluateWa(t, t.labels(), 3, dta, 1, a)) {
+      for (NodeId b : EvaluateWa(layout, query, a)) {
         f0 += w0.GetElem(b);
         f1 += w1.GetElem(b);
       }
@@ -103,10 +106,12 @@ TEST_P(TreeSchemeSizeTest, DistortionAtMostOneAndDetectable) {
   WeightMap marked = scheme.Embed(w, mark);
 
   // Theorem 5's structural guarantee: max drift over every parameter <= 1.
+  const TreeLayout layout = TreeLayout::Build(t, t.labels(), 3).ValueOrDie();
+  const TreeQuery compiled = TreeQuery::Compile(query, 3, 1).ValueOrDie();
   Weight worst = 0;
   for (NodeId a = 0; a < n; ++a) {
     Weight f0 = 0, f1 = 0;
-    for (NodeId b : EvaluateWa(t, t.labels(), 3, query, 1, a)) {
+    for (NodeId b : EvaluateWa(layout, compiled, a)) {
       f0 += w.GetElem(b);
       f1 += marked.GetElem(b);
     }
@@ -151,7 +156,8 @@ TEST_F(TreeSchemeTest, ParamFreeQueryScheme) {
   // The single (empty-parameter) query drifts by at most 1 in total... per
   // region pair it cancels exactly since both pair nodes are in W together.
   Weight f0 = 0, f1 = 0;
-  for (NodeId b : EvaluateWa(t, t.labels(), 3, query, 0, 0)) {
+  const TreeLayout layout = TreeLayout::Build(t, t.labels(), 3).ValueOrDie();
+  for (NodeId b : EvaluateWa(layout, TreeQuery::Compile(query, 3, 0).ValueOrDie(), 0)) {
     f0 += w.GetElem(b);
     f1 += marked.GetElem(b);
   }
@@ -336,11 +342,75 @@ TEST_F(TreeSchemeTest, ServerOverTreeWithoutLayoutAnswersEmpty) {
   }
 }
 
+// --- Automata that do not match the query's pebble tracks --------------------
+
+/// A one-track automaton claimed with a parameter, a two-track one claimed
+/// with parameter arity 2 (the scheme supports 0 or 1) or over a wider base
+/// alphabet, and a base count whose shifted alphabet wraps around 32 bits to
+/// the automaton's.
+struct MismatchedQuery {
+  const Dta* dta;
+  uint32_t base_count;
+  uint32_t param_arity;
+};
+
+class MismatchedQueryTest : public TreeSchemeTest {
+ protected:
+  MismatchedQueryTest()
+      : leaves_(CompileMso(*MustParseFormula("P_c(v) & LEAF(v)"), sigma_, {"v"})
+                    .ValueOrDie()
+                    .dta) {}
+
+  std::vector<MismatchedQuery> Mismatched() const {
+    return {{&leaves_, 3, 1}, {&query_, 3, 2}, {&query_, 4, 1}, {&leaves_, 0x80000003u, 0}};
+  }
+
+  Dta leaves_;
+};
+
+TEST_F(MismatchedQueryTest, DoesNotCompileOrPlan) {
+  Rng rng(63);
+  BinaryTree t = RandomBinaryTree(50, 3, rng);
+  for (const MismatchedQuery& q : Mismatched()) {
+    const std::string what = "base " + std::to_string(q.base_count) + " arity " +
+                             std::to_string(q.param_arity);
+    const Result<TreeQuery> compiled = TreeQuery::Compile(*q.dta, q.base_count, q.param_arity);
+    ASSERT_FALSE(compiled.ok()) << what;
+    EXPECT_EQ(compiled.status().code(), StatusCode::kInvalidArgument) << what;
+    auto planned = TreeScheme::Plan(t, t.labels(), q.base_count, *q.dta, q.param_arity,
+                                    Options());
+    ASSERT_FALSE(planned.ok()) << what;
+    EXPECT_EQ(planned.status().code(), StatusCode::kInvalidArgument) << what;
+  }
+}
+
+TEST_F(MismatchedQueryTest, ServerAnswersEmpty) {
+  Rng rng(64);
+  BinaryTree t = RandomBinaryTree(50, 3, rng);
+  const std::vector<Tuple> params{Tuple{t.root()}, Tuple{}, Tuple{t.root(), 0}, Tuple{0}};
+  for (const MismatchedQuery& q : Mismatched()) {
+    const std::string what = "base " + std::to_string(q.base_count) + " arity " +
+                             std::to_string(q.param_arity);
+    HonestTreeServer server(t, t.labels(), q.base_count, *q.dta, q.param_arity,
+                            RandomTreeWeights(t, rng));
+    for (const Tuple& p : params) EXPECT_TRUE(server.Answer(p).empty()) << what;
+    // One empty row range per parameter, over a batch that held a stale row.
+    FlatAnswerBatch flat;
+    flat.AppendRow(Tuple{7}, 99);
+    flat.FinishParam();
+    server.AnswerAllFlat(params, flat);
+    ASSERT_EQ(flat.num_params(), params.size()) << what;
+    EXPECT_EQ(flat.num_rows(), 0u) << what;
+  }
+}
+
 TEST_F(TreeSchemeTest, RegionSearchChecksFilterSize) {
   Rng rng(62);
   BinaryTree t = RandomBinaryTree(50, 3, rng);
+  const TreeLayout layout = TreeLayout::Build(t, t.labels(), 3).ValueOrDie();
+  const TreeQuery query = TreeQuery::Compile(query_, 3, 1).ValueOrDie();
   const std::vector<bool> short_filter(t.size() - 1, true);
-  EXPECT_DEATH(FindMarkRegions(t, t.labels(), 3, query_, 1, {}, nullptr, &short_filter),
+  EXPECT_DEATH(FindMarkRegions(layout, query, {}, nullptr, &short_filter),
                "candidate_filter");
 }
 

@@ -109,11 +109,13 @@ class XPathAutomatonTest : public ::testing::Test {
     auto enc = EncodeXml(doc, {"exam"}).ValueOrDie();
     auto compiled = q.Compile(enc);
     ASSERT_TRUE(compiled.ok()) << compiled.status();
-    const Dta& dta = compiled.value().dta;
     const auto base = static_cast<uint32_t>(enc.sigma.size());
+    const TreeQuery query =
+        TreeQuery::Compile(compiled.value().dta, base, q.has_param() ? 1 : 0).ValueOrDie();
+    const TreeLayout layout = TreeLayout::Build(enc.tree, enc.tree.labels(), base).ValueOrDie();
 
     if (!q.has_param()) {
-      auto w = EvaluateWa(enc.tree, enc.tree.labels(), base, dta, 0, 0);
+      auto w = EvaluateWa(layout, query, 0);
       auto dom = q.EvaluateOnDom(doc, "");
       ASSERT_EQ(w.size(), dom.size());
       for (NodeId b : w) {
@@ -127,7 +129,7 @@ class XPathAutomatonTest : public ::testing::Test {
     ASSERT_FALSE(params.empty());
     for (NodeId p : params) {
       const std::string& value = enc.sigma.Name(enc.tree.label(p));
-      auto w = EvaluateWa(enc.tree, enc.tree.labels(), base, dta, 1, p);
+      auto w = EvaluateWa(layout, query, p);
       auto dom = q.EvaluateOnDom(doc, value);
       ASSERT_EQ(w.size(), dom.size()) << "param " << value;
       for (NodeId b : w) {

@@ -128,16 +128,19 @@ bool RunLint(const DriverOptions& opt, DriverResult& result) {
         .count();
   };
 
-  // Pass 1: scan every file and merge its symbols into the shared context.
+  // Pass 1: scan every file and merge its symbols into the shared context,
+  // keeping each file's symbols for pass 2.
   const auto pass1_start = std::chrono::steady_clock::now();
   std::vector<FileScan> scans;
+  std::vector<FileSymbols> symbols;
   scans.reserve(canon.size());
+  symbols.reserve(canon.size());
   LintContext ctx;
   for (const auto& [canonical, given] : canon) {
     std::string text;
     if (!ReadFile(given, text)) continue;  // e.g. removed generated TU
     scans.push_back(ScanSource(given, text));
-    CollectContext(scans.back(), ctx);
+    symbols.push_back(CollectContext(scans.back(), ctx));
   }
   FinalizeContext(ctx);
   result.index_ms = ms_since(pass1_start);
@@ -145,8 +148,8 @@ bool RunLint(const DriverOptions& opt, DriverResult& result) {
 
   // Pass 2: every rule over every file, against the merged context.
   std::vector<Finding> findings;
-  for (const FileScan& scan : scans) {
-    AnalyzeFile(scan, ctx, findings, &result.rule_ms);
+  for (size_t i = 0; i < scans.size(); ++i) {
+    AnalyzeFile(scans[i], symbols[i], ctx, findings, &result.rule_ms);
   }
 
   std::sort(findings.begin(), findings.end(),

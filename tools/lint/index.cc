@@ -669,8 +669,10 @@ void MergeSymbols(const FileSymbols& syms, LintContext& ctx) {
   }
 }
 
-void CollectContext(const FileScan& scan, LintContext& ctx) {
-  MergeSymbols(CollectFileSymbols(scan), ctx);
+FileSymbols CollectContext(const FileScan& scan, LintContext& ctx) {
+  FileSymbols syms = CollectFileSymbols(scan);
+  MergeSymbols(syms, ctx);
+  return syms;
 }
 
 void FinalizeContext(LintContext& ctx) {

@@ -235,8 +235,9 @@ struct LintContext {
 /// Merges one file's symbols into the context.
 void MergeSymbols(const FileSymbols& syms, LintContext& ctx);
 
-/// Pass 1 over one file: CollectFileSymbols + MergeSymbols.
-void CollectContext(const FileScan& scan, LintContext& ctx);
+/// Pass 1 over one file: CollectFileSymbols + MergeSymbols. Returns the
+/// file's symbols, whose token spans pass 2 reads (AnalyzeFile).
+FileSymbols CollectContext(const FileScan& scan, LintContext& ctx);
 
 /// Closes the index after every file merged: seeds the builtin view types,
 /// adds QPWM_VIEW_TYPE classes, resolves transitive stamp-bump reachability.
@@ -257,8 +258,10 @@ using RuleTimings = std::map<std::string, double>;
 
 /// Pass 2: runs every rule over `scan` against the finalized context,
 /// appending findings (already filtered through the file's allow() pragmas).
-/// When `timings` is given, each rule family's wall time is accumulated.
-void AnalyzeFile(const FileScan& scan, const LintContext& ctx,
+/// `syms` is the file's pass-1 scan (CollectContext's result): the cross-TU
+/// rules need its live token spans, which the merged context drops. When
+/// `timings` is given, each rule family's wall time is accumulated.
+void AnalyzeFile(const FileScan& scan, const FileSymbols& syms, const LintContext& ctx,
                  std::vector<Finding>& out, RuleTimings* timings = nullptr);
 
 // --- Driver -----------------------------------------------------------------
@@ -288,7 +291,7 @@ bool RunLint(const DriverOptions& opt, DriverResult& result);
 
 /// JSON report schema version; bump on any shape change and document in
 /// docs/static-analysis.md.
-inline constexpr int kReportSchemaVersion = 3;
+inline constexpr int kReportSchemaVersion = 4;
 
 /// Serializes findings as a JSON report. Returns false if unwritable.
 bool WriteReport(const std::string& path, const DriverResult& result);

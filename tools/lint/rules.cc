@@ -458,7 +458,7 @@ void CheckLegacyTupleVector(const FileScan& scan, std::vector<Finding>& out) {
 
 }  // namespace
 
-void AnalyzeFile(const FileScan& scan_in, const LintContext& ctx,
+void AnalyzeFile(const FileScan& scan_in, const FileSymbols& syms, const LintContext& ctx,
                  std::vector<Finding>& out, RuleTimings* timings) {
   FileScan scan = scan_in;
   scan.path = NormalizePath(scan.path);
@@ -474,11 +474,6 @@ void AnalyzeFile(const FileScan& scan_in, const LintContext& ctx,
             std::chrono::steady_clock::now() - t0)
             .count();
   };
-  // The cross-TU rules need this file's symbols with live token spans; the
-  // merged context only keeps spanless facts. Accounted under its own key
-  // in the report's rule_ms.
-  FileSymbols syms;
-  timed("symbol-scan", [&] { syms = CollectFileSymbols(scan); });
   timed(kNodiscardStatus, [&] { CheckNodiscard(scan, out); });
   timed(kDiscardedStatus, [&] { CheckDiscardedStatus(scan, ctx, out); });
   timed(kRawStatus, [&] { CheckRawStatus(scan, out); });
