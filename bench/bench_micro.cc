@@ -36,56 +36,52 @@ void BM_CanonicalForm(benchmark::State& state) {
 }
 BENCHMARK(BM_CanonicalForm)->Arg(100)->Arg(1000);
 
-// The fingerprint/key the canonical-form cache hashes on — the per-tuple
-// price every *hit* pays instead of a full canonicalization.
-void BM_CanonCacheKey(benchmark::State& state) {
-  Rng rng(1);
-  Structure g = RandomBoundedDegreeGraph(static_cast<size_t>(state.range(0)), 3,
-                                         3 * state.range(0), false, rng);
-  TupleIncidence inc(g);
-  ElemId e = 0;
-  for (auto _ : state) {
-    Neighborhood nb = ExtractNeighborhood(inc, Tuple{e}, 2);
-    benchmark::DoNotOptimize(CanonCacheKey(nb.local, nb.distinguished));
-    e = (e + 1) % g.universe_size();
-  }
+// One cache probe as NeighborhoodTyper makes it: gather N_2(e), fingerprint
+// the records, and on a miss materialize and canonicalize.
+uint32_t ProbeCache(CanonCache& cache, const TupleIncidence& inc, ElemId e,
+                    NeighborhoodScratch& nb, CanonKeyScratch& key) {
+  GatherNeighborhood(inc, Tuple{e}, 2, nb);
+  const CanonFingerprint fp = NeighborhoodFingerprint128(
+      nb.nb.global_ids.size(), inc.arities(), nb.rel_flat, nb.nb.distinguished, key);
+  if (std::optional<uint32_t> id = cache.Lookup(fp)) return *id;
+  const Neighborhood& full = MaterializeNeighborhood(inc, nb);
+  return cache.Insert(fp, full.local, full.distinguished);
 }
-BENCHMARK(BM_CanonCacheKey)->Arg(100)->Arg(1000);
 
 // Hit path: every neighborhood was already canonicalized, so each call is
-// extract + key + one sharded map lookup.
+// gather + fingerprint + one sharded map lookup.
 void BM_CanonicalFormCacheHit(benchmark::State& state) {
   Rng rng(1);
   Structure g = RandomBoundedDegreeGraph(static_cast<size_t>(state.range(0)), 3,
                                          3 * state.range(0), false, rng);
   TupleIncidence inc(g);
   CanonCache cache;
-  for (ElemId e = 0; e < g.universe_size(); ++e) {  // prime
-    Neighborhood nb = ExtractNeighborhood(inc, Tuple{e}, 2);
-    cache.Canonical(nb.local, nb.distinguished);
-  }
+  NeighborhoodScratch nb;
+  CanonKeyScratch key;
+  for (ElemId e = 0; e < g.universe_size(); ++e) ProbeCache(cache, inc, e, nb, key);
   ElemId e = 0;
   for (auto _ : state) {
-    Neighborhood nb = ExtractNeighborhood(inc, Tuple{e}, 2);
-    benchmark::DoNotOptimize(cache.Canonical(nb.local, nb.distinguished));
+    benchmark::DoNotOptimize(ProbeCache(cache, inc, e, nb, key));
     e = (e + 1) % g.universe_size();
   }
 }
 BENCHMARK(BM_CanonicalFormCacheHit)->Arg(100)->Arg(1000);
 
-// Miss path: cache cleared each iteration batch, so this is key + full
-// canonicalization + insert (the worst case; contrast with BM_CanonicalForm).
+// Miss path: cache cleared each iteration, so this is gather + fingerprint +
+// materialize + full canonicalization + insert (the worst case; contrast
+// with BM_CanonicalForm).
 void BM_CanonicalFormCacheMiss(benchmark::State& state) {
   Rng rng(1);
   Structure g = RandomBoundedDegreeGraph(static_cast<size_t>(state.range(0)), 3,
                                          3 * state.range(0), false, rng);
   TupleIncidence inc(g);
   CanonCache cache;
+  NeighborhoodScratch nb;
+  CanonKeyScratch key;
   ElemId e = 0;
   for (auto _ : state) {
     cache.Clear();
-    Neighborhood nb = ExtractNeighborhood(inc, Tuple{e}, 2);
-    benchmark::DoNotOptimize(cache.Canonical(nb.local, nb.distinguished));
+    benchmark::DoNotOptimize(ProbeCache(cache, inc, e, nb, key));
     e = (e + 1) % g.universe_size();
   }
 }

@@ -1,33 +1,21 @@
 #include "qpwm/core/incremental.h"
 
-#include <memory>
-#include <set>
 #include <string>
 
 #include "qpwm/core/pairs.h"
-#include "qpwm/structure/canon_cache.h"
-#include "qpwm/structure/neighborhood.h"
-#include "qpwm/util/check.h"
-#include "qpwm/util/parallel.h"
+#include "qpwm/structure/typemap.h"
+#include "qpwm/util/str.h"
 
 namespace qpwm {
 namespace {
 
-std::set<std::string> TypeSet(const QueryIndex& index, uint32_t rho) {
-  const TupleIncidence incidence(index.structure());
-  ScratchPool<NeighborhoodScratch> pool;
-  std::vector<std::string> canons(index.num_params());
-  ParallelBlocks<int>(index.num_params(), [&](size_t begin, size_t end) {
-    std::unique_ptr<NeighborhoodScratch> scratch = pool.Acquire();
-    for (size_t i = begin; i < end; ++i) {
-      const Neighborhood& nb =
-          ExtractNeighborhoodInto(incidence, index.param(i), rho, *scratch);
-      canons[i] = CanonCache::Global().Canonical(nb.local, nb.distinguished);
-    }
-    pool.Release(std::move(scratch));
-    return 0;
-  });
-  return std::set<std::string>(canons.begin(), canons.end());
+// The sorted canonical forms of the rho-neighborhoods of `domain` in `g`.
+std::vector<std::string> TypeForms(const Structure& g,
+                                   const std::vector<Tuple>& domain,
+                                   uint32_t rho) {
+  NeighborhoodTyper typer(g, rho);
+  typer.TypeAll(domain);
+  return typer.SortedForms();
 }
 
 }  // namespace
@@ -97,13 +85,24 @@ Result<Structure> ApplyStructuralUpdates(
 }
 
 Status ValidateTypePreserving(const LocalScheme& scheme,
-                              const QueryIndex& updated_index) {
-  const UpdateCheck check = CheckTypePreservingUpdate(scheme, updated_index);
-  if (!check.type_preserving) {
+                              const Structure& updated) {
+  const Structure& planned = scheme.index().structure();
+  if (updated.universe_size() != planned.universe_size()) {
+    return Status::InvalidArgument(
+        StrCat("updated structure has a universe of ", updated.universe_size(),
+               " elements, the planning instance ", planned.universe_size()));
+  }
+  if (!(updated.signature() == planned.signature())) {
+    return Status::InvalidArgument(
+        "updated structure's relation signature differs from the planning "
+        "instance's");
+  }
+  const std::vector<std::string> forms =
+      TypeForms(updated, scheme.index().domain(), scheme.rho());
+  if (forms != scheme.TypeForms()) {
     return Status::FailedPrecondition(
-        "update is not type-preserving: " + std::to_string(check.old_types) +
-        " neighborhood types before, " + std::to_string(check.new_types) +
-        " after");
+        StrCat("update is not type-preserving: ", scheme.NumTypes(),
+               " neighborhood types before, ", forms.size(), " after"));
   }
   return Status::OK();
 }
@@ -112,13 +111,11 @@ UpdateCheck CheckTypePreservingUpdate(const LocalScheme& scheme,
                                       const QueryIndex& updated_index) {
   UpdateCheck out;
   const QueryIndex& old_index = scheme.index();
-  const uint32_t rho = scheme.rho();
-
-  std::set<std::string> old_types = TypeSet(old_index, rho);
-  std::set<std::string> new_types = TypeSet(updated_index, rho);
-  out.old_types = old_types.size();
-  out.new_types = new_types.size();
-  out.type_preserving = old_types == new_types;
+  const std::vector<std::string> new_forms = TypeForms(
+      updated_index.structure(), updated_index.domain(), scheme.rho());
+  out.old_types = scheme.NumTypes();
+  out.new_types = new_forms.size();
+  out.type_preserving = new_forms == scheme.TypeForms();
 
   // Which pairs survive: both elements must still be active (readable
   // through some query answer) on the updated instance.

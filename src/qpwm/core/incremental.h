@@ -7,9 +7,11 @@
 //
 // Theorem 8 (type-preserving structural updates): if an update to the
 // structure creates or removes no neighborhood isomorphism type, the
-// existing pair marking remains valid as a (|W|, eta, 0, 0) procedure; we
-// also re-verify the realized cost bound on the updated instance, which is
-// cheap and strictly stronger.
+// existing pair marking remains valid as a (|W|, eta, 0, 0) procedure. The
+// admission gate (ValidateTypePreserving) checks neighborhood types only;
+// the report (CheckTypePreservingUpdate) also gives the surviving pairs and
+// their realized cost on the updated instance, but no cost bound is
+// enforced.
 #ifndef QPWM_CORE_INCREMENTAL_H_
 #define QPWM_CORE_INCREMENTAL_H_
 
@@ -42,7 +44,9 @@ struct UpdateCheck {
 
 /// Theorem 8: checks whether `updated_index` (same query, updated structure
 /// or domain) preserves all neighborhood types of the planning radius and
-/// whether the scheme's pairs survive. Does not modify the scheme.
+/// whether the scheme's pairs survive. The old types are the scheme's
+/// TypeForms(); only the updated instance is typed. Does not modify the
+/// scheme.
 UpdateCheck CheckTypePreservingUpdate(const LocalScheme& scheme,
                                       const QueryIndex& updated_index);
 
@@ -72,15 +76,17 @@ struct StructuralUpdate {
 [[nodiscard]] Result<Structure> ApplyStructuralUpdates(
     const Structure& base, const std::vector<StructuralUpdate>& updates);
 
-/// Status-typed wrapper over CheckTypePreservingUpdate: OK iff the update
-/// preserves all neighborhood types (Theorem 8's hypothesis), else
-/// kFailedPrecondition naming the old/new type counts. Pairs lost to an
-/// admitted update surface as erasures at detection time — the coded
-/// channel absorbs those — so pair survival is not part of the gate. This
-/// is the admission check the stream layer applies before committing a
-/// structural epoch.
+/// The admission gate the stream layer applies before committing a
+/// structural epoch: OK iff `updated` has exactly the scheme's neighborhood
+/// types (Theorem 8's hypothesis) over the scheme's parameter domain, else
+/// kFailedPrecondition naming the old/new type counts. Only `updated` is
+/// typed; the planning instance's types come from scheme.TypeForms(). No
+/// query index, pair or cost work is done: pairs lost to an admitted update
+/// surface as erasures at detection time, which the coded channel absorbs.
+/// A structure whose universe size or relation signature differs from the
+/// planning instance's yields kInvalidArgument.
 [[nodiscard]] Status ValidateTypePreserving(const LocalScheme& scheme,
-                                            const QueryIndex& updated_index);
+                                            const Structure& updated);
 
 }  // namespace qpwm
 

@@ -223,7 +223,7 @@ Result<LocalScheme> LocalScheme::Plan(const QueryIndex& index,
   scheme.distortion_bound_ = bound;
   scheme.budget_ = budget;
   scheme.rho_ = rho;
-  scheme.ntp_ = ntp;
+  scheme.type_forms_ = typer.SortedForms();
   scheme.candidate_pairs_ = all.size();
   scheme.tries_used_ = tries_used;
   scheme.canonical_params_ = rep_param;

@@ -24,6 +24,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "qpwm/core/answers.h"
@@ -77,7 +78,10 @@ class LocalScheme {
 
   uint32_t rho() const { return rho_; }
   /// ntp(rho, G) over the parameter domain.
-  size_t NumTypes() const { return ntp_; }
+  size_t NumTypes() const { return type_forms_.size(); }
+  /// The sorted canonical forms of those types: the planning instance's type
+  /// set, which the Theorem 8 gate compares an updated structure against.
+  const std::vector<std::string>& TypeForms() const { return type_forms_; }
   /// The canonical parameters S: one domain index per neighborhood type.
   /// Proposition 1: class-paired markings distort f at these parameters by
   /// exactly zero.
@@ -132,7 +136,7 @@ class LocalScheme {
   uint32_t distortion_bound_ = 0;
   uint32_t budget_ = 0;
   uint32_t rho_ = 0;
-  size_t ntp_ = 0;
+  std::vector<std::string> type_forms_;
   size_t candidate_pairs_ = 0;
   int tries_used_ = 0;
   std::vector<size_t> canonical_params_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <set>
 
 #include "qpwm/logic/locality.h"
@@ -49,8 +50,8 @@ ConjunctiveQuery& ConjunctiveQuery::operator=(ConjunctiveQuery&&) noexcept = def
 
 Result<ConjunctiveQuery> ConjunctiveQuery::Parse(std::string_view text) {
   std::vector<CqAtom> body;
-  uint32_t max_param = 0, max_result = 0;
-  bool has_param = false, has_result = false;
+  uint32_t max_param = 0;
+  std::set<uint32_t> result_indices;
 
   size_t i = 0;
   auto skip_ws = [&] {
@@ -85,19 +86,21 @@ Result<ConjunctiveQuery> ConjunctiveQuery::Parse(std::string_view text) {
       size_t num_start = i;
       while (i < text.size() && std::isdigit(static_cast<unsigned char>(text[i]))) ++i;
       if (i == num_start) return Status::ParseError("variable needs an index");
-      uint32_t index =
-          static_cast<uint32_t>(std::stoul(std::string(text.substr(num_start, i - num_start))));
+      uint32_t index = 0;
+      if (std::from_chars(text.data() + num_start, text.data() + i, index).ec !=
+          std::errc()) {
+        return Status::ParseError(StrCat("variable index at position ", num_start,
+                                         " does not fit in 32 bits"));
+      }
       if (index == 0) return Status::ParseError("variable indices are 1-based");
       CqTerm term;
       term.index = index - 1;
       if (kind_char == 'u') {
         term.kind = CqTerm::Kind::kParam;
         max_param = std::max(max_param, index);
-        has_param = true;
       } else if (kind_char == 'v') {
         term.kind = CqTerm::Kind::kResult;
-        max_result = std::max(max_result, index);
-        has_result = true;
+        result_indices.insert(index);
       } else {
         term.kind = CqTerm::Kind::kJoin;
       }
@@ -121,8 +124,15 @@ Result<ConjunctiveQuery> ConjunctiveQuery::Parse(std::string_view text) {
     }
   }
   if (body.empty()) return Status::ParseError("empty query body");
-  if (!has_result) return Status::ParseError("query needs at least one result variable");
-  (void)has_param;
+  if (result_indices.empty()) {
+    return Status::ParseError("query needs at least one result variable");
+  }
+  // Every result position must occur in the body (a safe query).
+  const uint32_t max_result = *result_indices.rbegin();
+  if (result_indices.size() != max_result) {
+    return Status::ParseError(StrCat("result variables must be v1..v", max_result,
+                                     " without gaps"));
+  }
   return ConjunctiveQuery(std::move(body), max_param, max_result);
 }
 

@@ -86,27 +86,20 @@ std::shared_ptr<const StreamSnapshot> StreamServer::SealEpoch() {
   pending_.clear();
 
   if (!batch.empty()) {
+    const std::shared_ptr<const Structure> before = structure_;
     // Fast path: admit the whole staged batch at once if its combined result
     // passes the type gate.
     std::vector<StructuralUpdate> all_edits;
     for (const Update& u : batch) {
       all_edits.insert(all_edits.end(), u.edits.begin(), u.edits.end());
     }
-    bool committed = false;
     Result<Structure> combined = ApplyStructuralUpdates(*structure_, all_edits);
-    if (combined.ok()) {
-      auto cand_structure =
-          std::make_shared<const Structure>(std::move(combined).value());
-      auto cand_index = BuildIndex(cand_structure);
-      const Status gate = ValidateTypePreserving(*scheme_, *cand_index);
-      if (gate.ok()) {
-        structure_ = std::move(cand_structure);
-        index_ = std::move(cand_index);
-        for (const Update& u : batch) Apply(u);
-        committed = true;
-      }
-    }
-    if (!committed) {
+    const bool committed =
+        combined.ok() && ValidateTypePreserving(*scheme_, combined.value()).ok();
+    if (committed) {
+      structure_ = std::make_shared<const Structure>(std::move(combined).value());
+      for (const Update& u : batch) Apply(u);
+    } else {
       // Deterministic per-update fallback: re-admit in submission order so a
       // single hostile update cannot veto the epoch's honest churn. Each
       // admitted update commits before the next is judged.
@@ -117,19 +110,19 @@ std::shared_ptr<const StreamSnapshot> StreamServer::SealEpoch() {
           Reject(u, one.status());
           continue;
         }
-        auto cand_structure =
-            std::make_shared<const Structure>(std::move(one).value());
-        auto cand_index = BuildIndex(cand_structure);
-        const Status gate = ValidateTypePreserving(*scheme_, *cand_index);
+        const Status gate = ValidateTypePreserving(*scheme_, one.value());
         if (!gate.ok()) {
           Reject(u, gate);
           continue;
         }
-        structure_ = std::move(cand_structure);
-        index_ = std::move(cand_index);
+        structure_ = std::make_shared<const Structure>(std::move(one).value());
         Apply(u);
       }
     }
+    // The gate reads structures only and the index is read only through
+    // published snapshots, so it is rebuilt once per epoch, after admission,
+    // and only when an update was admitted.
+    if (structure_ != before) index_ = BuildIndex(structure_);
   }
 
   ++epoch_;

@@ -10,10 +10,12 @@
 //   * structural kinds are shape-checked at submission (arity / relation /
 //     universe — the immediate quarantine path) and staged; SealEpoch()
 //     applies the staged batch through ApplyStructuralUpdates and admits it
-//     only if the result passes the Theorem 8 type gate
-//     (ValidateTypePreserving). A failing batch falls back to deterministic
-//     per-update admission so one hostile update cannot veto an epoch of
-//     honest churn.
+//     only if the resulting structure passes the Theorem 8 type gate
+//     (ValidateTypePreserving), which checks neighborhood types only — no
+//     cost bound. A failing batch falls back to deterministic per-update
+//     admission so one hostile update cannot veto an epoch of honest churn.
+//     The query index is rebuilt once per sealed epoch, and only when an
+//     update was admitted.
 //
 // Every rejected update is quarantined with its Status reason and counted
 // by StatusCode and by UpdateKind; the accounting invariant

@@ -1,7 +1,6 @@
 #include "qpwm/structure/canon_cache.h"
 
 #include <algorithm>
-#include <cstring>
 #include <numeric>
 #include <optional>
 #include <span>
@@ -15,24 +14,9 @@ namespace {
 
 constexpr int kRefineRounds = 2;
 
-void Push32(std::string& out, uint32_t v) {
-  char buf[4];
-  std::memcpy(buf, &v, 4);
-  out.append(buf, 4);
-}
-
-// A structure's relations as flat records, read through one interface so
-// the fingerprint runs on a Structure and on gathered neighborhood records
-// alike. Records may come in any order: every use below is commutative.
-struct StructureRecords {
-  const Structure& s;
-  size_t universe() const { return s.universe_size(); }
-  size_t num_relations() const { return s.num_relations(); }
-  uint32_t arity(size_t r) const { return s.relation(r).arity(); }
-  size_t count(size_t r) const { return s.relation(r).size(); }
-  std::span<const ElemId> flat(size_t r) const { return s.relation(r).flat(); }
-};
-
+// A neighborhood's gathered records: universe {0..n-1}, relation r holding
+// records[r] flat, arities[r] ids per record. Records may come in any order:
+// every use below is commutative.
 struct GatheredRecords {
   size_t n;
   const std::vector<uint32_t>& arities;
@@ -47,8 +31,8 @@ struct GatheredRecords {
 };
 
 // Calls fn(record) for each record of relation r of `s`.
-template <typename Records, typename Fn>
-void ForEachRecord(const Records& s, size_t r, Fn&& fn) {
+template <typename Fn>
+void ForEachRecord(const GatheredRecords& s, size_t r, Fn&& fn) {
   const std::span<const ElemId> flat = s.flat(r);
   const uint32_t a = s.arity(r);
   const size_t count = s.count(r);
@@ -59,8 +43,7 @@ void ForEachRecord(const Records& s, size_t r, Fn&& fn) {
 // Isomorphism-invariant per element; much cheaper than the stability-checked
 // refinement inside CanonicalForm (no per-element sorts, no partition ranks,
 // flat buffers only).
-template <typename Records>
-void RefineColors(const Records& s, const Tuple& dist,
+void RefineColors(const GatheredRecords& s, const Tuple& dist,
                   std::vector<uint64_t>& colors, std::vector<uint64_t>& scratch) {
   const size_t n = s.universe();
   colors.assign(n, 0x9E3779B97F4A7C15ULL);
@@ -84,11 +67,10 @@ void RefineColors(const Records& s, const Tuple& dist,
   }
 }
 
-// Refinement relabeling shared by the string key and the fingerprint:
-// rank elements by (refined color, input id). When the colors are all
-// distinct the input id never breaks a tie and the relabeling is canonical.
-template <typename Records>
-void RefinementRanks(const Records& s, const Tuple& dist, CanonKeyScratch& sc) {
+// Refinement relabeling: rank elements by (refined color, input id). When the
+// colors are all distinct the input id never breaks a tie and the relabeling
+// is canonical.
+void RefinementRanks(const GatheredRecords& s, const Tuple& dist, CanonKeyScratch& sc) {
   RefineColors(s, dist, sc.colors, sc.tmp);
   const size_t n = s.universe();
   sc.order.resize(n);
@@ -100,9 +82,13 @@ void RefinementRanks(const Records& s, const Tuple& dist, CanonKeyScratch& sc) {
   for (size_t i = 0; i < n; ++i) sc.rank[sc.order[i]] = static_cast<uint32_t>(i);
 }
 
-template <typename Records>
-CanonFingerprint Fingerprint128(const Records& s, const Tuple& distinguished,
-                                CanonKeyScratch& scratch) {
+}  // namespace
+
+CanonFingerprint NeighborhoodFingerprint128(
+    size_t universe_size, const std::vector<uint32_t>& arities,
+    const std::vector<std::vector<ElemId>>& records, const Tuple& distinguished,
+    CanonKeyScratch& scratch) {
+  const GatheredRecords s{universe_size, arities, records};
   RefinementRanks(s, distinguished, scratch);
 
   // Two streams with distinct seeds; the second additionally perturbs every
@@ -119,8 +105,8 @@ CanonFingerprint Fingerprint128(const Records& s, const Tuple& distinguished,
   mix(s.num_relations());
   for (size_t r = 0; r < s.num_relations(); ++r) {
     // Per-relation commutative accumulation: each record hashes on its own,
-    // the sums are order-insensitive — no record sort, unlike the string
-    // key, yet records still compare as whole tuples.
+    // the sums are order-insensitive — no record sort, yet records still
+    // compare as whole tuples.
     uint64_t sum_lo = 0;
     uint64_t sum_hi = 0;
     ForEachRecord(s, r, [&](std::span<const ElemId> t) {
@@ -135,61 +121,6 @@ CanonFingerprint Fingerprint128(const Records& s, const Tuple& distinguished,
     hi = HashCombine(hi, sum_hi);
   }
   return {lo, hi};
-}
-
-}  // namespace
-
-std::string CanonCacheKey(const Structure& s, const Tuple& distinguished) {
-  const size_t n = s.universe_size();
-  CanonKeyScratch sc;
-  RefinementRanks(StructureRecords{s}, distinguished, sc);
-
-  size_t words = 2 + distinguished.size();
-  for (size_t r = 0; r < s.num_relations(); ++r) {
-    words += 2 + s.relation(r).size() * s.relation(r).arity();
-  }
-  std::string out;
-  out.reserve(words * 4);
-  Push32(out, static_cast<uint32_t>(n));
-  Push32(out, static_cast<uint32_t>(distinguished.size()));
-  for (ElemId e : distinguished) Push32(out, sc.rank[e]);
-  std::vector<Tuple> remapped;
-  for (size_t r = 0; r < s.num_relations(); ++r) {
-    const TupleList tuples = s.relation(r).tuples();
-    remapped.clear();
-    remapped.reserve(tuples.size());
-    for (TupleRef t : tuples) {
-      Tuple m;
-      m.reserve(t.size());
-      for (ElemId e : t) m.push_back(sc.rank[e]);
-      remapped.push_back(std::move(m));
-    }
-    std::sort(remapped.begin(), remapped.end());
-    Push32(out, static_cast<uint32_t>(r));
-    Push32(out, static_cast<uint32_t>(remapped.size()));
-    for (const Tuple& t : remapped) {
-      for (ElemId e : t) Push32(out, e);
-    }
-  }
-  return out;
-}
-
-uint64_t NeighborhoodFingerprint(const Structure& s, const Tuple& distinguished) {
-  return HashString(CanonCacheKey(s, distinguished));
-}
-
-CanonFingerprint NeighborhoodFingerprint128(const Structure& s,
-                                            const Tuple& distinguished,
-                                            CanonKeyScratch& scratch) {
-  return Fingerprint128(StructureRecords{s}, distinguished, scratch);
-}
-
-CanonFingerprint NeighborhoodFingerprint128(
-    size_t universe_size, const std::vector<uint32_t>& arities,
-    const std::vector<std::vector<ElemId>>& records, const Tuple& distinguished,
-    CanonKeyScratch& scratch) {
-  return Fingerprint128(GatheredRecords{universe_size, arities, records},
-                        distinguished, scratch);
 }
 
 CanonCache& CanonCache::Global() {
@@ -227,22 +158,10 @@ uint32_t CanonCache::Insert(const CanonFingerprint& fp, const Structure& s,
   return id;
 }
 
-uint32_t CanonCache::CanonicalId(const Structure& s, const Tuple& distinguished,
-                                 CanonKeyScratch& scratch) {
-  const CanonFingerprint fp = NeighborhoodFingerprint128(s, distinguished, scratch);
-  if (std::optional<uint32_t> id = Lookup(fp)) return *id;
-  return Insert(fp, s, distinguished);
-}
-
 std::string CanonCache::CanonicalOfId(uint32_t id) const {
   qpwm::MutexLock lock(intern_mu_);
   QPWM_CHECK_LT(id, form_by_id_.size());
   return *form_by_id_[id];
-}
-
-std::string CanonCache::Canonical(const Structure& s, const Tuple& distinguished) {
-  CanonKeyScratch scratch;
-  return CanonicalOfId(CanonicalId(s, distinguished, scratch));
 }
 
 CanonCache::Stats CanonCache::stats() const {

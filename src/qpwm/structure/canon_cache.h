@@ -7,13 +7,11 @@
 // Fast path: probes key on a 128-bit fingerprint of the neighborhood under a
 // cheap color-refinement relabeling — two independent 64-bit hash streams
 // over the relabeled, order-insensitive relation contents. A hit returns an
-// interned CanonicalId without materializing any string (the legacy path
-// built the full serialized key on every probe). Equal fingerprints are
+// interned id without materializing any string. Equal fingerprints are
 // *assumed* to mean isomorphic inputs; with 128 independent bits the
 // collision odds over even 10^9 distinct neighborhoods are ~2^-68 —
 // accepted, and documented here because it is the one place the cache trades
-// certainty for speed. The string-keyed CanonCacheKey remains available (and
-// exactly sound) for tests and diagnostics.
+// certainty for speed.
 //
 // Identity: ids come from an intern table keyed by the *true* canonical form
 // computed on each miss, so two inputs whose refinement stalls into
@@ -42,13 +40,6 @@
 
 namespace qpwm {
 
-/// The sound, refinement-relabeled cache key. Exposed for tests and
-/// micro-benchmarks (its cost was the legacy per-hit overhead).
-std::string CanonCacheKey(const Structure& s, const Tuple& distinguished);
-
-/// 64-bit hash of the string cache key; diagnostic only.
-uint64_t NeighborhoodFingerprint(const Structure& s, const Tuple& distinguished);
-
 /// Reusable buffers for fingerprint computation (one per worker; see
 /// util/parallel.h ScratchPool). Zero steady-state allocation.
 struct CanonKeyScratch {
@@ -74,18 +65,13 @@ struct CanonFingerprintHash {
   }
 };
 
-/// Fingerprint without any string materialization; allocation-free once
-/// `scratch` is warm.
-CanonFingerprint NeighborhoodFingerprint128(const Structure& s,
-                                            const Tuple& distinguished,
-                                            CanonKeyScratch& scratch);
-
-/// The same fingerprint, read from gathered records instead of a Structure:
-/// universe {0..universe_size-1}, relation r holding records[r] (flat,
-/// arities[r] ids per record, in any order, no nullary tuples). Equal to
-/// fingerprinting the structure those records form — the hash is
-/// order-insensitive per relation — so a neighborhood is fingerprinted
-/// before, and on a cache hit instead of, building its local structure.
+/// Fingerprint of a neighborhood read from its gathered records: universe
+/// {0..universe_size-1}, relation r holding records[r] (flat, arities[r] ids
+/// per record, in any order, no nullary tuples). The hash is
+/// order-insensitive per relation, so it equals the fingerprint of the
+/// structure those records form, and a neighborhood is fingerprinted before,
+/// and on a cache hit instead of, building its local structure.
+/// Allocation-free once `scratch` is warm.
 CanonFingerprint NeighborhoodFingerprint128(
     size_t universe_size, const std::vector<uint32_t>& arities,
     const std::vector<std::vector<ElemId>>& records, const Tuple& distinguished,
@@ -114,27 +100,18 @@ class CanonCache {
   /// Process-wide cache shared by all typers/planners.
   static CanonCache& Global();
 
-  /// Interned id of CanonicalForm(s, distinguished). Thread-safe. Hits cost
-  /// one fingerprint + one shard lookup; misses canonicalize outside any
-  /// lock. Ids are stable until Clear() — callers must not hold ids across
-  /// a Clear().
-  uint32_t CanonicalId(const Structure& s, const Tuple& distinguished,
-                       CanonKeyScratch& scratch);
-
-  /// CanonicalId split at the fingerprint, for callers that fingerprint
-  /// before they build the structure. Lookup returns the id interned under
-  /// `fp` and counts a hit, or returns nullopt. Insert canonicalizes `s` —
-  /// whose fingerprint must be `fp` — counts a miss and records the id.
+  /// Interned id of a neighborhood's canonical form, split at the
+  /// fingerprint so callers fingerprint before they build the structure.
+  /// Thread-safe. Lookup returns the id interned under `fp` and counts a hit,
+  /// or returns nullopt. Insert canonicalizes `s` — whose fingerprint must be
+  /// `fp` — outside any lock, counts a miss and records the id. Ids are
+  /// stable until Clear(): callers must not hold ids across a Clear().
   std::optional<uint32_t> Lookup(const CanonFingerprint& fp);
   uint32_t Insert(const CanonFingerprint& fp, const Structure& s,
                   const Tuple& distinguished);
 
   /// The canonical form interned under `id` (copy; the table may rehash).
   std::string CanonicalOfId(uint32_t id) const;
-
-  /// CanonicalForm(s, distinguished), memoized. Thread-safe. Legacy
-  /// string-returning entry point, now a wrapper over CanonicalId.
-  std::string Canonical(const Structure& s, const Tuple& distinguished);
 
   Stats stats() const;
 

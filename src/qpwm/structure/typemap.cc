@@ -1,5 +1,6 @@
 #include "qpwm/structure/typemap.h"
 
+#include <algorithm>
 #include <memory>
 #include <optional>
 #include <utility>
@@ -52,6 +53,15 @@ uint32_t NeighborhoodTyper::InternCacheId(uint32_t cache_id, const Tuple& c) {
   const uint32_t type = Intern(cache_->CanonicalOfId(cache_id), c);
   cache_id_to_type_.emplace(cache_id, type);
   return type;
+}
+
+std::vector<std::string> NeighborhoodTyper::SortedForms() const {
+  std::vector<std::string> forms;
+  forms.reserve(canon_to_type_.size());
+  // qpwm-lint: allow(unordered-iter) -- sorted below
+  for (const auto& entry : canon_to_type_) forms.push_back(entry.first);
+  std::sort(forms.begin(), forms.end());
+  return forms;
 }
 
 uint32_t NeighborhoodTyper::TypeOf(const Tuple& c) {

@@ -42,6 +42,10 @@ class NeighborhoodTyper {
   /// the parameter domain has been typed.
   size_t NumTypes() const { return representatives_.size(); }
 
+  /// The canonical forms of every type seen so far, sorted — the type set
+  /// itself, comparable across typers and structures.
+  std::vector<std::string> SortedForms() const;
+
   /// Canonical representative tuple of a type.
   const Tuple& Representative(uint32_t type) const { return representatives_[type]; }
 

@@ -32,6 +32,14 @@ TEST(CqParseTest, Errors) {
   EXPECT_FALSE(ConjunctiveQuery::Parse("E(u1, w1)").ok());      // bad var kind
   EXPECT_FALSE(ConjunctiveQuery::Parse("E(u1, x1)").ok());      // no result var
   EXPECT_FALSE(ConjunctiveQuery::Parse("E(u1, v1) E(v1, v1)").ok());
+  // Indices beyond 32 bits: no exception escapes, no silent wrap to u1.
+  EXPECT_EQ(ConjunctiveQuery::Parse("E(u99999999999999999999, v1)").status().code(),
+            StatusCode::kParseError);
+  EXPECT_EQ(ConjunctiveQuery::Parse("E(u4294967297, v1)").status().code(),
+            StatusCode::kParseError);
+  // A result variable missing from the body: an error, not an abort.
+  EXPECT_EQ(ConjunctiveQuery::Parse("E(u1, v2)").status().code(),
+            StatusCode::kParseError);
 }
 
 TEST(CqEvalTest, MatchesFormulaQueryOnTwoHop) {

@@ -6,6 +6,7 @@
 #include "qpwm/logic/parser.h"
 #include "qpwm/tree/mso.h"
 #include "qpwm/logic/query.h"
+#include "qpwm/structure/canon_cache.h"
 #include "qpwm/structure/generators.h"
 #include "qpwm/util/random.h"
 
@@ -216,9 +217,7 @@ TEST(StructuralUpdateTest, ValidateFlagsTypeChangingEdits) {
   StructuralUpdate chord_b{StructuralUpdate::Kind::kInsertTuple, 0, Tuple{15, 0}};
   auto chorded = ApplyStructuralUpdates(g, {chord_a, chord_b});
   ASSERT_TRUE(chorded.ok());
-  QueryIndex chorded_index(chorded.value(), *query,
-                           AllParams(chorded.value(), 1));
-  EXPECT_EQ(ValidateTypePreserving(scheme, chorded_index).code(),
+  EXPECT_EQ(ValidateTypePreserving(scheme, chorded.value()).code(),
             StatusCode::kFailedPrecondition);
 
   // Type-removing delete: cutting one edge pair turns the cycle into a path
@@ -227,12 +226,70 @@ TEST(StructuralUpdateTest, ValidateFlagsTypeChangingEdits) {
   StructuralUpdate cut_b{StructuralUpdate::Kind::kDeleteTuple, 0, Tuple{1, 0}};
   auto cut = ApplyStructuralUpdates(g, {cut_a, cut_b});
   ASSERT_TRUE(cut.ok());
-  QueryIndex cut_index(cut.value(), *query, AllParams(cut.value(), 1));
-  EXPECT_EQ(ValidateTypePreserving(scheme, cut_index).code(),
+  EXPECT_EQ(ValidateTypePreserving(scheme, cut.value()).code(),
             StatusCode::kFailedPrecondition);
 
   // Identity stays admissible.
-  EXPECT_TRUE(ValidateTypePreserving(scheme, index).ok());
+  EXPECT_TRUE(ValidateTypePreserving(scheme, g).ok());
+}
+
+TEST(StructuralUpdateTest, ValidateRejectsUniverseMismatch) {
+  Structure g = CycleGraph(30, true);
+  auto query = AtomQuery::Adjacency("E");
+  QueryIndex index(g, *query, AllParams(g, 1));
+  LocalSchemeOptions opts;
+  opts.key = {9, 10};
+  auto scheme = LocalScheme::Plan(index, opts).ValueOrDie();
+
+  // The gate reads the updated structure at the plan's domain tuples, so
+  // the universe must be the planning instance's.
+  EXPECT_EQ(ValidateTypePreserving(scheme, CycleGraph(31, true)).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(ValidateTypePreserving(scheme, CycleGraph(29, true)).code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(StructuralUpdateTest, ValidateRejectsSignatureMismatch) {
+  Structure g = CycleGraph(30, true);
+  auto query = AtomQuery::Adjacency("E");
+  QueryIndex index(g, *query, AllParams(g, 1));
+  LocalSchemeOptions opts;
+  opts.key = {9, 10};
+  auto scheme = LocalScheme::Plan(index, opts).ValueOrDie();
+
+  // Same universe and edges, plus a unary relation the plan never saw.
+  Signature extra_sig = GraphSignature();
+  extra_sig.AddRelation("P", 1);
+  Structure extra(extra_sig, 30);
+  for (TupleRef t : g.relation(0).tuples()) extra.AddTuple(size_t{0}, t.ToTuple());
+  extra.Seal();
+  EXPECT_EQ(ValidateTypePreserving(scheme, extra).code(),
+            StatusCode::kInvalidArgument);
+
+  // Same shape, the binary relation renamed.
+  Structure renamed(Signature({{"F", 2}}), 30);
+  for (TupleRef t : g.relation(0).tuples()) renamed.AddTuple(size_t{0}, t.ToTuple());
+  renamed.Seal();
+  EXPECT_EQ(ValidateTypePreserving(scheme, renamed).code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(StructuralUpdateTest, ValidateTypesOnlyTheUpdatedStructure) {
+  // The planning instance's types come from the scheme: one gate call makes
+  // one cache probe per domain tuple of the updated structure, and none for
+  // the planning instance.
+  Structure g = CycleGraph(30, true);
+  auto query = AtomQuery::Adjacency("E");
+  QueryIndex index(g, *query, AllParams(g, 1));
+  LocalSchemeOptions opts;
+  opts.key = {9, 10};
+  auto scheme = LocalScheme::Plan(index, opts).ValueOrDie();
+
+  const CanonCache::Stats before = CanonCache::Global().stats();
+  EXPECT_TRUE(ValidateTypePreserving(scheme, g).ok());
+  const CanonCache::Stats after = CanonCache::Global().stats();
+  EXPECT_EQ((after.hits + after.misses) - (before.hits + before.misses),
+            index.domain().size());
 }
 
 TEST(TypePreservingTest, SurvivingPairsReportedHonestly) {

@@ -2,7 +2,7 @@
 // bit-identical regardless of the configured thread count and of whether the
 // canonical-form cache is enabled. Also covers the ParallelFor/ParallelMap
 // primitives and the CanonCache == CanonicalForm equivalence the cache's
-// soundness rests on.
+// soundness rests on, probed through Lookup/Insert as NeighborhoodTyper does.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,7 +10,10 @@
 #include <atomic>
 #include <map>
 #include <numeric>
+#include <optional>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "qpwm/core/local_scheme.h"
 #include "qpwm/core/tree_scheme.h"
@@ -126,16 +129,31 @@ TEST(ParallelPrimitives, NestedParallelismRunsInline) {
   }
 }
 
+// Gathers N_rho(c) into `scratch` and fingerprints its records, the way
+// NeighborhoodTyper probes the cache; scratch.rel_flat stays unconsumed.
+CanonFingerprint GatherAndFingerprint(const TupleIncidence& inc, const Tuple& c,
+                                      uint32_t rho, NeighborhoodScratch& scratch,
+                                      CanonKeyScratch& key) {
+  GatherNeighborhood(inc, c, rho, scratch);
+  return NeighborhoodFingerprint128(scratch.nb.global_ids.size(), inc.arities(),
+                                    scratch.rel_flat, scratch.nb.distinguished,
+                                    key);
+}
+
 TEST(CanonCacheTest, MatchesUncachedCanonicalForm) {
   Rng rng(77);
   Structure g = RandomBoundedDegreeGraph(400, 3, 1200, false, rng);
   TupleIncidence inc(g);
   CanonCache cache;
+  NeighborhoodScratch scratch;
+  CanonKeyScratch key;
   for (uint32_t rho : {1u, 2u}) {
     for (ElemId e = 0; e < g.universe_size(); ++e) {
-      Neighborhood nb = ExtractNeighborhood(inc, Tuple{e}, rho);
-      ASSERT_EQ(cache.Canonical(nb.local, nb.distinguished),
-                CanonicalForm(nb.local, nb.distinguished))
+      const CanonFingerprint fp = GatherAndFingerprint(inc, {e}, rho, scratch, key);
+      const Neighborhood& nb = MaterializeNeighborhood(inc, scratch);
+      std::optional<uint32_t> id = cache.Lookup(fp);
+      if (!id) id = cache.Insert(fp, nb.local, nb.distinguished);
+      ASSERT_EQ(cache.CanonicalOfId(*id), CanonicalForm(nb.local, nb.distinguished))
           << "element " << e << " rho " << rho;
     }
   }
@@ -144,24 +162,27 @@ TEST(CanonCacheTest, MatchesUncachedCanonicalForm) {
 }
 
 TEST(CanonCacheTest, KeyAgreesOnIsomorphicNeighborhoods) {
-  // Equal canonical forms must imply equal cache keys would still be too
-  // strong (the key is finer-grained than isomorphism is not allowed the
-  // other way): equal keys imply isomorphism, so a key collision across
-  // non-isomorphic neighborhoods would corrupt plans. Spot-check: every pair
-  // of same-type neighborhoods in a small instance gets one cache entry.
+  // The one assumption the cache makes: equal 128-bit fingerprints imply
+  // equal canonical forms, so a hit never returns another type's id. A
+  // collision across non-isomorphic neighborhoods would corrupt plans.
+  // Spot-check every neighborhood of a small instance, and check that
+  // fingerprints do repeat there (same-type neighborhoods share one).
   Rng rng(78);
   Structure g = RandomBoundedDegreeGraph(300, 3, 900, false, rng);
   TupleIncidence inc(g);
-  std::map<std::string, std::string> canon_by_key;
+  NeighborhoodScratch scratch;
+  CanonKeyScratch key;
+  std::map<std::pair<uint64_t, uint64_t>, std::string> canon_by_fp;
   for (ElemId e = 0; e < g.universe_size(); ++e) {
-    Neighborhood nb = ExtractNeighborhood(inc, Tuple{e}, 2);
-    std::string key = CanonCacheKey(nb.local, nb.distinguished);
+    const CanonFingerprint fp = GatherAndFingerprint(inc, {e}, 2, scratch, key);
+    const Neighborhood& nb = MaterializeNeighborhood(inc, scratch);
     std::string canon = CanonicalForm(nb.local, nb.distinguished);
-    auto [it, inserted] = canon_by_key.emplace(std::move(key), canon);
+    auto [it, inserted] = canon_by_fp.emplace(std::pair{fp.lo, fp.hi}, canon);
     if (!inserted) {
-      ASSERT_EQ(it->second, canon) << "cache key collision across types";
+      ASSERT_EQ(it->second, canon) << "fingerprint collision across types";
     }
   }
+  EXPECT_LT(canon_by_fp.size(), g.universe_size());
 }
 
 TEST(ParallelPlanTest, LocalSchemeIdenticalAcrossThreadsAndCache) {

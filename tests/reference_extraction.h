@@ -4,14 +4,17 @@
 // Gaifman graph, collects (relation, tuple index) keys from the incidence
 // index, sorts and deduplicates them, fetches every tuple from its source
 // relation and maps each element through a binary search over the sphere.
+// FingerprintOfStructure fingerprints such a reference result.
 #ifndef QPWM_TESTS_REFERENCE_EXTRACTION_H_
 #define QPWM_TESTS_REFERENCE_EXTRACTION_H_
 
 #include <algorithm>
 #include <cstdint>
 #include <numeric>
+#include <span>
 #include <vector>
 
+#include "qpwm/structure/canon_cache.h"
 #include "qpwm/structure/gaifman.h"
 #include "qpwm/structure/neighborhood.h"
 #include "qpwm/structure/structure.h"
@@ -90,6 +93,22 @@ inline Neighborhood ReferenceExtractNeighborhood(const Structure& g,
 
   for (ElemId x : c) nb.distinguished.push_back(ReferenceLocalId(sphere, x));
   return nb;
+}
+
+// The cache fingerprint of a materialized structure: its relations flattened
+// into the gathered-record form NeighborhoodFingerprint128 reads.
+inline CanonFingerprint FingerprintOfStructure(const Structure& s,
+                                               const Tuple& distinguished,
+                                               CanonKeyScratch& key) {
+  std::vector<uint32_t> arities;
+  std::vector<std::vector<ElemId>> records;
+  for (size_t r = 0; r < s.num_relations(); ++r) {
+    arities.push_back(s.relation(r).arity());
+    const std::span<const ElemId> flat = s.relation(r).flat();
+    records.emplace_back(flat.begin(), flat.end());
+  }
+  return NeighborhoodFingerprint128(s.universe_size(), arities, records,
+                                    distinguished, key);
 }
 
 }  // namespace qpwm
