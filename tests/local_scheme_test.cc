@@ -2,6 +2,8 @@
 
 #include "qpwm/core/distortion.h"
 #include "qpwm/core/local_scheme.h"
+#include "qpwm/logic/conjunctive.h"
+#include "qpwm/logic/multiquery.h"
 #include "qpwm/logic/query.h"
 #include "qpwm/structure/generators.h"
 #include "qpwm/util/random.h"
@@ -270,6 +272,76 @@ TEST(LocalSchemeTest, CycleInstanceZeroCostPairs) {
   QueryIndex index(g, *query, AllParams(g, 1));
   auto scheme = LocalScheme::Plan(index, DefaultOptions(1.0)).ValueOrDie();
   EXPECT_GT(scheme.CapacityBits(), 5u);
+}
+
+// FNV-1a digest of everything a local plan fixes: the active-element order
+// of the index, the selected pairs and the witness plan (params, per-witness
+// read ranges, reads).
+uint64_t LocalPlanDigest(const LocalScheme& scheme) {
+  uint64_t h = 1469598103934665603ull;
+  auto mix = [&h](uint64_t x) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (x >> (8 * i)) & 0xff;
+      h *= 1099511628211ull;
+    }
+  };
+  const QueryIndex& index = scheme.index();
+  mix(index.num_active());
+  for (size_t w = 0; w < index.num_active(); ++w) {
+    const Tuple& t = index.active_element(w);
+    mix(t.size());
+    for (ElemId e : t) mix(e);
+  }
+  mix(scheme.CapacityBits());
+  for (const WeightPair& p : scheme.marking().pairs()) {
+    mix(p.plus);
+    mix(p.minus);
+  }
+  const WitnessPlan& plan = scheme.witness_plan();
+  mix(plan.params.size());
+  for (const Tuple& a : plan.params) {
+    mix(a.size());
+    for (ElemId e : a) mix(e);
+  }
+  for (uint32_t off : plan.read_offsets) mix(off);
+  for (const auto& [slot, key] : plan.reads) {
+    mix(slot);
+    mix(key);
+  }
+  return h;
+}
+
+uint64_t PlanDigest(const Structure& g, const ParametricQuery& query,
+                    std::vector<Tuple> domain) {
+  QueryIndex index(g, query, std::move(domain));
+  auto scheme = LocalScheme::Plan(index, DefaultOptions(0.5)).ValueOrDie();
+  EXPECT_GT(scheme.CapacityBits(), 0u) << query.Name();
+  return LocalPlanDigest(scheme);
+}
+
+TEST(LocalSchemeTest, PlansPinnedAtSeed) {
+  Rng rng(91);
+  Structure g = RandomBoundedDegreeGraph(300, 3, 900, false, rng);
+  auto adjacency = AtomQuery::Adjacency("E");
+  EXPECT_EQ(PlanDigest(g, *adjacency, AllParams(g, 1)), 17440031079674585446ull);
+
+  // The same edges inserted in reverse and left unsealed: the atom rows of
+  // a parameter come back in relation order, not sorted order.
+  Structure reversed(g.signature(), g.universe_size());
+  const Relation& edges = g.relation("E");
+  for (size_t t = edges.size(); t-- > 0;) reversed.AddTuple(0, edges.tuple(t).ToTuple());
+  EXPECT_EQ(PlanDigest(reversed, *adjacency, AllParams(reversed, 1)), 5929676230990388969ull);
+
+  Structure cycle = CycleGraph(90, true);
+  DistanceQuery distance(1);
+  EXPECT_EQ(PlanDigest(cycle, distance, AllParams(cycle, 1)), 4066859162475688035ull);
+
+  auto two_hop = ConjunctiveQuery::Parse("E(u1, x1), E(x1, v1)").ValueOrDie();
+  EXPECT_EQ(PlanDigest(g, two_hop, AllParams(g, 1)), 2729989564611757454ull);
+
+  AtomQuery predecessors("E", {{false, 0}, {true, 0}}, 1, 1);
+  UnionQuery both({adjacency.get(), &predecessors});
+  EXPECT_EQ(PlanDigest(g, both, both.FullDomain(g)), 7477128797236175348ull);
 }
 
 }  // namespace
