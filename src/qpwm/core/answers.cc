@@ -58,16 +58,16 @@ uint32_t QueryIndex::TupleIdTable::InternMove(std::vector<Tuple>& tuples, Tuple&
 QueryIndex::QueryIndex(const Structure& g, const ParametricQuery& query,
                        // qpwm-lint: allow(legacy-tuple-vector) — sink parameter; the index owns its query-parameter domain
                        std::vector<Tuple> domain)
-    : g_(&g), query_(&query), domain_(std::move(domain)) {
+    : g_(&g), query_(&query), bound_(query.Bind(g)), domain_(std::move(domain)) {
   // Query evaluation — the dominant cost — runs over the whole domain in
-  // parallel (Evaluate is const and thread-safe, see query.h). Interning
+  // parallel through the one binding (immutable, see query.h). Interning
   // result tuples into dense active ids happens serially in domain order, so
   // the assigned ids, rows and inverse index are bit-identical to the serial
   // build for any thread count.
   std::vector<std::vector<Tuple>> raw = ParallelMap<std::vector<Tuple>>(
       domain_.size(), [&](size_t i) {
         QPWM_CHECK_EQ(domain_[i].size(), query.ParamArity());
-        return query.Evaluate(g, domain_[i]);
+        return bound_(domain_[i]);
       });
 
   for (size_t i = 0; i < domain_.size(); ++i) {
@@ -218,14 +218,14 @@ void HonestServer::Serve(const Tuple& params, Out& out) const {
     for (uint32_t w : result) AppendRow(out, index_->active_element(w), view_.at(w));
     return;
   }
-  // Outside the registered domain: evaluate directly, unless the parameter
-  // cannot name a query input at all.
+  // Outside the registered domain: evaluate through the index's binding,
+  // unless the parameter cannot name a query input at all.
   const Structure& g = index_->structure();
   if (params.size() != index_->query().ParamArity()) return;
   for (ElemId e : params) {
     if (e >= g.universe_size()) return;
   }
-  for (const Tuple& t : index_->query().Evaluate(g, params)) {
+  for (const Tuple& t : index_->bound()(params)) {
     AppendRow(out, t, weights_.Get(t));
   }
 }

@@ -78,6 +78,10 @@ struct FlatAnswerBatch {
 /// results and the inverse map (which params contain a given active element)
 /// are both kept, since the schemes need both directions. Both directions
 /// are CSR-packed: one offsets array and one id array each.
+///
+/// The query is bound to the structure once, at construction, and the
+/// evaluator is kept: bound() answers parameters outside the domain against
+/// the same structure state the index was built from.
 class QueryIndex {
  public:
   // qpwm-lint: allow(legacy-tuple-vector) — sink parameter; the index owns its query-parameter domain
@@ -85,6 +89,8 @@ class QueryIndex {
 
   const Structure& structure() const { return *g_; }
   const ParametricQuery& query() const { return *query_; }
+  /// The query bound to structure() when the index was built.
+  const BoundQuery& bound() const { return bound_; }
 
   size_t num_params() const { return domain_.size(); }
   const Tuple& param(size_t i) const { return domain_[i]; }
@@ -161,6 +167,7 @@ class QueryIndex {
 
   const Structure* g_;
   const ParametricQuery* query_;
+  BoundQuery bound_;
   // qpwm-lint: allow(legacy-tuple-vector) — owned query-parameter domain, not relation rows
   std::vector<Tuple> domain_;
   TupleIdTable param_ids_;  // over domain_
@@ -234,9 +241,9 @@ void AnswerAllFlat(const AnswerServer& server, const std::vector<Tuple>& params,
 /// over the owner's structure. Immutable: the weights are fixed at
 /// construction and snapshot into a DenseWeightView, so an in-domain
 /// parameter is served from the shared index with O(1) weight reads. A
-/// parameter outside the registered domain is evaluated directly; one of the
-/// wrong arity, or naming an element outside the universe, gets an empty
-/// answer.
+/// parameter outside the registered domain is evaluated through the index's
+/// binding (QueryIndex::bound()); one of the wrong arity, or naming an
+/// element outside the universe, gets an empty answer.
 class HonestServer : public BatchAnswerServer {
  public:
   HonestServer(const QueryIndex& index, WeightMap weights)

@@ -15,6 +15,9 @@
 namespace qpwm {
 namespace {
 
+// Attempts of the random epsilon-good selection before the greedy fallback.
+constexpr int kMaxTries = 64;
+
 // Pairs consecutive members of each group; returns leftover singletons.
 void PairWithinGroups(const std::map<std::vector<uint32_t>, std::vector<uint32_t>>& groups,
                       Rng& rng, std::vector<WeightPair>& pairs,
@@ -198,7 +201,7 @@ Result<LocalScheme> LocalScheme::Plan(const QueryIndex& index,
 
     Rng select_rng(options.key.Derive(0x5E1E).k0);
     bool succeeded = false;
-    for (int attempt = 0; attempt < options.max_tries; ++attempt) {
+    for (int attempt = 0; attempt < kMaxTries; ++attempt) {
       if (!succeeded) ++tries_used;  // tries until the *first* success
       std::vector<uint32_t> trial;
       for (uint32_t i = 0; i < all.size(); ++i) {
@@ -208,7 +211,7 @@ Result<LocalScheme> LocalScheme::Plan(const QueryIndex& index,
         succeeded = true;
         if (trial.size() > selection.size()) selection = std::move(trial);
         p = std::min(1.0, p * 1.3);  // probe for a larger epsilon-good set
-      } else if (succeeded || attempt >= options.max_tries / 2) {
+      } else if (succeeded || attempt >= kMaxTries / 2) {
         p = trial.empty() ? std::min(1.0, p * 2) : p * 0.7;
       }
     }

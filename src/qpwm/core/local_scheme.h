@@ -49,8 +49,6 @@ struct LocalSchemeOptions {
   double epsilon = 0.5;
   /// Owner's secret key; drives pairing order and subsampling.
   PrfKey key;
-  /// Retry budget for the random selection.
-  int max_tries = 64;
   PairSelection selection = PairSelection::kPaperRandom;
   /// Ablation: pair within cl(w) classes (true) or arbitrarily (false).
   bool class_pairing = true;

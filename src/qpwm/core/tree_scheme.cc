@@ -78,8 +78,6 @@ Result<TreeScheme> TreeScheme::Plan(const BinaryTree& t,
 
   DecompositionOptions dopts;
   dopts.shuffle_seed = options.key.Derive(0xDEC0).k0;
-  dopts.min_region_size = options.min_region_size;
-  dopts.max_region_size = options.max_region_size;
   scheme.regions_ =
       FindMarkRegions(layout, query, dopts, &scheme.stats_, &active);
 

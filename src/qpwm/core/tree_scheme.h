@@ -33,9 +33,6 @@ namespace qpwm {
 struct TreeSchemeOptions {
   /// Owner's secret key (candidate shuffles, witness probing order).
   PrfKey key;
-  /// Forwarded to FindMarkRegions (0 = defaults).
-  size_t min_region_size = 0;
-  size_t max_region_size = 0;
   /// Size of the witness pool: the root plus witness_attempts - 1 keyed
   /// random nodes, probed in node-id order for each pair before the exact
   /// reverse run. The pool is evaluated lazily: nothing is computed for a

@@ -10,15 +10,12 @@
 #ifndef QPWM_LOGIC_CONJUNCTIVE_H_
 #define QPWM_LOGIC_CONJUNCTIVE_H_
 
-#include <memory>
-#include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "qpwm/logic/query.h"
+#include "qpwm/structure/signature.h"
 #include "qpwm/util/status.h"
-#include "qpwm/util/thread_annotations.h"
 
 namespace qpwm {
 
@@ -44,17 +41,18 @@ struct CqAtom {
 class ConjunctiveQuery : public ParametricQuery {
  public:
   ConjunctiveQuery(std::vector<CqAtom> body, uint32_t r, uint32_t s);
-  ~ConjunctiveQuery() override;  // out of line: Index is incomplete here
-  ConjunctiveQuery(ConjunctiveQuery&&) noexcept;
-  ConjunctiveQuery& operator=(ConjunctiveQuery&&) noexcept;
 
   /// Parses the textual form. Arities are inferred from the variables used;
   /// every parameter/result index up to the maximum must appear.
   [[nodiscard]] static Result<ConjunctiveQuery> Parse(std::string_view text);
 
+  /// InvalidArgument unless every body atom names a relation of `sig` at
+  /// its arity. Bind aborts on a structure that fails this check.
+  [[nodiscard]] Status CheckSignature(const Signature& sig) const;
+
   uint32_t ParamArity() const override { return r_; }
   uint32_t ResultArity() const override { return s_; }
-  std::vector<Tuple> Evaluate(const Structure& g, const Tuple& params) const override;
+  BoundQuery Bind(const Structure& g) const override;
 
   /// Conjunctive queries are quantifier-rank <= #join variables; Gaifman's
   /// bound applies. In practice the join diameter is what matters; we report
@@ -67,25 +65,10 @@ class ConjunctiveQuery : public ParametricQuery {
   uint32_t num_join_vars() const { return num_join_; }
 
  private:
-  struct Index;  // per-structure join indexes
-  /// Generation-validated (see AtomQuery::CacheEntry): pointer keys alone
-  /// cannot identify a structure state across address reuse or in-place
-  /// mutation.
-  struct CacheEntry {
-    uint64_t generation = 0;
-    std::unique_ptr<Index> index;
-  };
-  const Index& GetIndex(const Structure& g) const;
-
   std::vector<CqAtom> body_;
   uint32_t r_;
   uint32_t s_;
   uint32_t num_join_ = 0;
-  // unique_ptr so the query stays movable (guards cache_, per the Evaluate
-  // thread-safety contract in query.h).
-  mutable std::unique_ptr<qpwm::Mutex> cache_mu_ = std::make_unique<qpwm::Mutex>();
-  mutable std::unordered_map<const Structure*, CacheEntry> cache_
-      QPWM_GUARDED_BY(cache_mu_);
 };
 
 }  // namespace qpwm

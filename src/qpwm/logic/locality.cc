@@ -34,6 +34,7 @@ uint64_t LocalityDivergenceBound(uint32_t r, uint64_t degree_k, uint32_t rho) {
 uint64_t MaxSameTypeDivergence(const Structure& g, const ParametricQuery& query,
                                uint32_t rho, const std::vector<Tuple>& domain) {
   NeighborhoodTyper typer(g, rho);
+  const BoundQuery bound = query.Bind(g);
   std::unordered_map<uint32_t, std::vector<const Tuple*>> by_type;
   for (const Tuple& a : domain) by_type[typer.TypeOf(a)].push_back(&a);
 
@@ -44,7 +45,7 @@ uint64_t MaxSameTypeDivergence(const Structure& g, const ParametricQuery& query,
     std::vector<std::unordered_set<Tuple, TupleHash>> answers;
     answers.reserve(members.size());
     for (const Tuple* a : members) {
-      auto w = query.Evaluate(g, *a);
+      auto w = bound(*a);
       answers.emplace_back(w.begin(), w.end());
     }
     for (size_t i = 0; i < members.size(); ++i) {

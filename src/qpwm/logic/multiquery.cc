@@ -17,13 +17,17 @@ UnionQuery::UnionQuery(std::vector<const ParametricQuery*> queries)
   }
 }
 
-std::vector<Tuple> UnionQuery::Evaluate(const Structure& g, const Tuple& params) const {
-  QPWM_CHECK_EQ(params.size(), ParamArity());
-  const ElemId selector = params[0];
-  if (selector >= queries_.size()) return {};  // out-of-range selector: empty
-  const ParametricQuery& q = *queries_[selector];
-  Tuple inner(params.begin() + 1, params.begin() + 1 + q.ParamArity());
-  return q.Evaluate(g, inner);
+BoundQuery UnionQuery::Bind(const Structure& g) const {
+  std::vector<BoundQuery> members;
+  members.reserve(queries_.size());
+  for (const ParametricQuery* q : queries_) members.push_back(q->Bind(g));
+  return [this, members = std::move(members)](const Tuple& params) -> std::vector<Tuple> {
+    QPWM_CHECK_EQ(params.size(), ParamArity());
+    const ElemId selector = params[0];
+    if (selector >= members.size()) return {};  // out-of-range selector: empty
+    Tuple inner(params.begin() + 1, params.begin() + 1 + queries_[selector]->ParamArity());
+    return members[selector](inner);
+  };
 }
 
 std::optional<uint32_t> UnionQuery::LocalityRank() const {
@@ -75,18 +79,24 @@ GroupedQuery::GroupedQuery(const ParametricQuery& inner, std::vector<Tuple> doma
                            GroupFn group_of)
     : inner_(&inner), domain_(std::move(domain)), group_of_(std::move(group_of)) {}
 
-std::vector<Tuple> GroupedQuery::Evaluate(const Structure& g,
-                                          const Tuple& params) const {
-  const uint64_t group = group_of_(g, params);
-  // qpwm-lint: allow(legacy-tuple-vector) — building the returned answer set (API contract)
-  std::vector<Tuple> out;
-  for (const Tuple& member : domain_) {
-    if (group_of_(g, member) != group) continue;
-    for (Tuple& t : inner_->Evaluate(g, member)) out.push_back(std::move(t));
-  }
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  return out;
+BoundQuery GroupedQuery::Bind(const Structure& g) const {
+  std::vector<uint64_t> member_group;
+  member_group.reserve(domain_.size());
+  for (const Tuple& member : domain_) member_group.push_back(group_of_(g, member));
+  // qpwm-lint: allow(view-escape) — bound queries read the structure they were bound to (query.h)
+  return [this, &g, inner = inner_->Bind(g),
+          member_group = std::move(member_group)](const Tuple& params) {
+    const uint64_t group = group_of_(g, params);
+    // qpwm-lint: allow(legacy-tuple-vector) — building the returned answer set (API contract)
+    std::vector<Tuple> out;
+    for (size_t i = 0; i < domain_.size(); ++i) {
+      if (member_group[i] != group) continue;
+      for (Tuple& t : inner(domain_[i])) out.push_back(std::move(t));
+    }
+    std::sort(out.begin(), out.end());
+    out.erase(std::unique(out.begin(), out.end()), out.end());
+    return out;
+  };
 }
 
 std::optional<uint32_t> GroupedQuery::LocalityRank() const {

@@ -28,7 +28,8 @@ class UnionQuery : public ParametricQuery {
 
   uint32_t ParamArity() const override { return 1 + max_r_; }
   uint32_t ResultArity() const override { return s_; }
-  std::vector<Tuple> Evaluate(const Structure& g, const Tuple& params) const override;
+  /// Binds every member once.
+  BoundQuery Bind(const Structure& g) const override;
 
   /// The smallest common locality rank bound, if every member has one.
   std::optional<uint32_t> LocalityRank() const override;
@@ -60,16 +61,17 @@ class GroupedQuery : public ParametricQuery {
  public:
   using GroupFn = std::function<uint64_t(const Structure&, const Tuple&)>;
 
-  /// `group_of` maps a parameter tuple to its group id; Evaluate(a) returns
-  /// the union of inner results over the group of a (requires a registered
-  /// domain to enumerate the group members).
+  /// `group_of` maps a parameter tuple to its group id; W_a is the union of
+  /// inner results over the group of a (requires a registered domain to
+  /// enumerate the group members).
   // qpwm-lint: allow(legacy-tuple-vector) — sink parameter; the query owns its group domain
   GroupedQuery(const ParametricQuery& inner, std::vector<Tuple> domain,
                GroupFn group_of);
 
   uint32_t ParamArity() const override { return inner_->ParamArity(); }
   uint32_t ResultArity() const override { return inner_->ResultArity(); }
-  std::vector<Tuple> Evaluate(const Structure& g, const Tuple& params) const override;
+  /// Binds the inner query and groups the domain once.
+  BoundQuery Bind(const Structure& g) const override;
   std::optional<uint32_t> LocalityRank() const override;
   std::string Name() const override { return "group(" + inner_->Name() + ")"; }
 

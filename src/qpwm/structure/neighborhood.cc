@@ -1,6 +1,7 @@
 #include "qpwm/structure/neighborhood.h"
 
 #include <algorithm>
+#include <atomic>
 #include <numeric>
 
 #include "qpwm/util/check.h"
@@ -25,6 +26,8 @@ void ForEachRecord(const TupleIncidence& inc, ElemId e, Fn&& fn) {
 }  // namespace
 
 TupleIncidence::TupleIncidence(const Structure& s) : g_(&s) {
+  static std::atomic<uint64_t> next_id{1};
+  id_ = next_id.fetch_add(1, std::memory_order_relaxed);
   const size_t n = s.universe_size();
   // Two-pass CSR build: count each element's words (one record per distinct
   // element of a tuple — arities are tiny, so the repeat check is a scan
@@ -68,11 +71,11 @@ TupleIncidence::TupleIncidence(const Structure& s) : g_(&s) {
 
 void GatherNeighborhood(const TupleIncidence& inc, const Tuple& c, uint32_t rho,
                         NeighborhoodScratch& scratch) {
-  if (scratch.bound != inc.stamp()) {
+  if (scratch.bound != inc.id()) {
     scratch.local_of.assign(inc.size(), kOutside);
     scratch.rel_flat.assign(inc.arities().size(), {});
     scratch.nb.local = Structure(inc.structure().signature(), 0);
-    scratch.bound = inc.stamp();
+    scratch.bound = inc.id();
   }
   std::vector<ElemId>& local_of = scratch.local_of;
   std::vector<ElemId>& queue = scratch.queue;

@@ -38,9 +38,8 @@ class TupleIncidence {
     return {words_.data() + offsets_[e], offsets_[e + 1] - offsets_[e]};
   }
 
-  /// Process-unique id of this index (see GenerationStamp); scratch arenas
-  /// bind to it.
-  uint64_t stamp() const { return stamp_.value(); }
+  /// Process-unique id of this index; scratch arenas bind to it.
+  uint64_t id() const { return id_; }
 
   size_t BytesResident() const {
     return offsets_.capacity() * sizeof(uint32_t) + words_.capacity() * sizeof(uint32_t) +
@@ -52,7 +51,7 @@ class TupleIncidence {
   std::vector<uint32_t> arity_;    // per relation
   std::vector<uint32_t> offsets_;  // universe_size + 1, into words_
   std::vector<uint32_t> words_;
-  GenerationStamp stamp_;
+  uint64_t id_;
 };
 
 /// An extracted neighborhood: a small local structure plus the positions of
@@ -77,7 +76,7 @@ struct NeighborhoodScratch {
   std::vector<uint32_t> rec_order;             // record sort permutation
   std::vector<ElemId> rel_sorted;              // gather target for the swap
   Neighborhood nb;
-  uint64_t bound = 0;                          // stamp of the bound index
+  uint64_t bound = 0;                          // id of the bound index
 };
 
 /// First half of an extraction: computes the sphere into nb.global_ids, the

@@ -1,15 +1,9 @@
 #include "qpwm/structure/structure.h"
 
 #include <algorithm>
-#include <atomic>
 #include <numeric>
 
 namespace qpwm {
-
-uint64_t GenerationStamp::Next() {
-  static std::atomic<uint64_t> counter{1};
-  return counter.fetch_add(1, std::memory_order_relaxed);
-}
 
 void Relation::RebuildSlots(size_t capacity_for) const {
   size_t want = 16;
@@ -128,7 +122,6 @@ const Relation& Structure::relation(const std::string& name) const {
 void Structure::AddTuple(size_t rel, const Tuple& t) {
   QPWM_CHECK_LT(rel, relations_.size());
   for (ElemId e : t) QPWM_CHECK_LT(e, n_);
-  gen_.Bump();
   relations_[rel].Add(t);
 }
 
@@ -139,7 +132,6 @@ void Structure::AddTuple(const std::string& rel, const Tuple& t) {
 }
 
 void Structure::Seal() {
-  gen_.Bump();  // sorting reorders tuple indices cached per structure
   for (auto& r : relations_) r.Seal();
 }
 
@@ -148,7 +140,6 @@ void Structure::ResetUniverse(size_t universe_size) {
   for (auto& r : relations_) r.ClearKeepCapacity();
   element_names_.clear();
   name_index_.clear();
-  gen_.Bump();
 }
 
 void Structure::SetElementName(ElemId e, std::string name) {
@@ -156,10 +147,6 @@ void Structure::SetElementName(ElemId e, std::string name) {
   if (element_names_.empty()) element_names_.resize(n_);
   name_index_[name] = e;
   element_names_[e] = std::move(name);
-  // Names feed serialized reports and suspect re-alignment; a rename is a
-  // mutation like any other, or pointer-keyed caches keep serving the old
-  // identity.
-  gen_.Bump();
 }
 
 const std::string& Structure::ElementName(ElemId e) const {

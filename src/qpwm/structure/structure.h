@@ -226,37 +226,12 @@ class Relation {
   mutable size_t indexed_count_ = 0;
 };
 
-/// Process-unique generation stamp, re-issued on copy/move and bumped on
-/// mutation. Lazy per-structure caches (see logic/query.h) key on the
-/// structure's address, which the allocator happily reuses after a structure
-/// dies; a (pointer, generation) pair identifies one logical structure state,
-/// so a stale entry for a dead structure that lived at the same address — or
-/// for this structure before an in-place mutation — can never satisfy a
-/// lookup. Values are equality-compared only and never serialized.
-class GenerationStamp {
- public:
-  GenerationStamp() : v_(Next()) {}
-  GenerationStamp(const GenerationStamp&) : v_(Next()) {}
-  GenerationStamp(GenerationStamp&&) noexcept : v_(Next()) {}
-  GenerationStamp& operator=(const GenerationStamp&) {
-    v_ = Next();
-    return *this;
-  }
-  GenerationStamp& operator=(GenerationStamp&&) noexcept {
-    v_ = Next();
-    return *this;
-  }
-
-  uint64_t value() const { return v_; }
-  void Bump() { v_ = Next(); }
-
- private:
-  static uint64_t Next();
-  uint64_t v_;
-};
-
 /// A finite tau-structure. Element names are optional and only used for
 /// human-readable output (examples, figures).
+///
+/// A query bound to a structure (ParametricQuery::Bind, QueryIndex) reads it
+/// in place: edit a structure only while nothing bound to it is in use, and
+/// bind again after the edit.
 class Structure {
  public:
   Structure() = default;
@@ -266,17 +241,8 @@ class Structure {
   size_t universe_size() const { return n_; }
 
   const Relation& relation(size_t i) const { return relations_[i]; }
-  /// Non-const access assumes the caller mutates: the generation bumps so
-  /// every cached per-structure artifact is invalidated.
-  Relation& mutable_relation(size_t i) {
-    gen_.Bump();
-    return relations_[i];
-  }
+  Relation& mutable_relation(size_t i) { return relations_[i]; }
   size_t num_relations() const { return relations_.size(); }
-
-  /// Stamp identifying this structure object's current state; see
-  /// GenerationStamp. Fresh after copy/move, bumped by mutation.
-  uint64_t generation() const { return gen_.value(); }
 
   /// Relation lookup by name (aborts if missing; use signature().Find for the
   /// fallible variant).
@@ -290,8 +256,8 @@ class Structure {
   void Seal();
 
   /// Arena reuse: resizes the universe, drops every tuple and element name
-  /// but keeps the signature and all allocated capacity. Bumps the
-  /// generation. Neighborhood extraction recycles one local structure this
+  /// but keeps the signature and all allocated capacity. Neighborhood
+  /// extraction recycles one local structure this
   /// way instead of constructing a fresh one per element.
   void ResetUniverse(size_t universe_size);
 
@@ -313,7 +279,6 @@ class Structure {
   std::vector<Relation> relations_;
   std::vector<std::string> element_names_;
   std::unordered_map<std::string, ElemId> name_index_;
-  GenerationStamp gen_;
 };
 
 /// Per-element incidence index: for each element, the (relation, tuple index)

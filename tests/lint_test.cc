@@ -317,21 +317,18 @@ TEST(LintIndex, ClassMembersAndAnnotationsExtracted) {
       " private:\n"
       "  mutable std::mutex mu_;\n"
       "  std::map<int, int> by_id_ QPWM_GUARDED_BY(mu_);\n"
-      "  GenerationStamp gen_;\n"
       "  std::atomic<bool> sealed_{false};\n"
       "};\n"));
   ASSERT_EQ(syms.classes.size(), 1u);
   const ClassSym& cls = syms.classes[0];
   EXPECT_EQ(cls.name, "CanonCache");
-  ASSERT_EQ(cls.members.size(), 4u);
+  ASSERT_EQ(cls.members.size(), 3u);
   EXPECT_TRUE(cls.members[0].is_mutex);
   EXPECT_TRUE(cls.members[0].is_mutable);
   EXPECT_EQ(cls.members[1].name, "by_id_");
   EXPECT_EQ(cls.members[1].guarded_by, "mu_");
-  EXPECT_EQ(cls.members[2].name, "gen_");
-  EXPECT_TRUE(cls.members[2].is_stamp);
-  EXPECT_EQ(cls.members[3].name, "sealed_");
-  EXPECT_TRUE(cls.members[3].is_atomic);
+  EXPECT_EQ(cls.members[2].name, "sealed_");
+  EXPECT_TRUE(cls.members[2].is_atomic);
 }
 
 TEST(LintIndex, FunctionsResolveAcrossDeclAndDefinition) {
@@ -353,26 +350,6 @@ TEST(LintIndex, FunctionsResolveAcrossDeclAndDefinition) {
   std::vector<Finding> out;
   AnalyzeFile(def, def_syms, ctx, out);
   EXPECT_FALSE(HasRule(out, kLockDiscipline));
-}
-
-TEST(LintIndex, CallGraphEdgesAndBumpClosure) {
-  FileSymbols syms = CollectFileSymbols(ScanSource(
-      "a.cc",
-      "class L {\n"
-      "  void Append() { Touch(); }\n"
-      "  void Touch() { gen_.Bump(); }\n"
-      "  GenerationStamp gen_;\n"
-      "};\n"));
-  ASSERT_EQ(syms.functions.size(), 2u);
-  EXPECT_TRUE(syms.functions[0].calls.count("Touch"));
-  EXPECT_TRUE(syms.functions[1].bump_targets.count("gen_"));
-
-  LintContext ctx;
-  MergeSymbols(syms, ctx);
-  FinalizeContext(ctx);
-  // After finalization the closure makes Append a (transitive) bumper.
-  ASSERT_TRUE(ctx.functions.count("L::Append"));
-  EXPECT_TRUE(ctx.functions["L::Append"].bump_targets.count("gen_"));
 }
 
 TEST(LintIndex, ViewTypesAreBuiltinsPlusMarkedClasses) {
@@ -463,48 +440,6 @@ TEST(LintRules, MutexWithNoGuardedMembersAdvisoryShape) {
   EXPECT_FALSE(HasRule(clean, kLockDiscipline));
 }
 
-// --- lifetime/identity: stamp-audit ------------------------------------------
-
-TEST(LintRules, MutationWithoutBumpFlagged) {
-  auto fs = Analyze("a.h",
-                    "class L {\n"
-                    "  void Add(int v) { xs_.push_back(v); }\n"
-                    "  std::vector<int> xs_;\n"
-                    "  GenerationStamp gen_;\n"
-                    "};\n");
-  EXPECT_TRUE(HasRule(fs, kStampAudit));
-}
-
-TEST(LintRules, DirectAndTransitiveBumpsAreClean) {
-  auto direct = Analyze("a.h",
-                        "class L {\n"
-                        "  void Add(int v) { xs_.push_back(v); gen_.Bump(); }\n"
-                        "  std::vector<int> xs_;\n"
-                        "  GenerationStamp gen_;\n"
-                        "};\n");
-  EXPECT_FALSE(HasRule(direct, kStampAudit));
-  auto transitive = Analyze("a.h",
-                            "class L {\n"
-                            "  void Add(int v) { xs_.push_back(v); Touch(); }\n"
-                            "  void Touch() { gen_.Bump(); }\n"
-                            "  std::vector<int> xs_;\n"
-                            "  GenerationStamp gen_;\n"
-                            "};\n");
-  EXPECT_FALSE(HasRule(transitive, kStampAudit));
-}
-
-TEST(LintRules, ConstReadsAndMutableMembersNotFlagged) {
-  auto fs = Analyze("a.h",
-                    "class L {\n"
-                    "  int size() const { return n_; }\n"
-                    "  void Note() const { hits_ += 1; }\n"
-                    "  int n_ = 0;\n"
-                    "  mutable int hits_ = 0;\n"
-                    "  GenerationStamp gen_;\n"
-                    "};\n");
-  EXPECT_FALSE(HasRule(fs, kStampAudit));
-}
-
 // --- error-discipline: xtu-discarded-status ----------------------------------
 
 TEST(LintRules, ParkedStatusNeverInspectedFlagged) {
@@ -543,9 +478,8 @@ TEST(LintRules, AdvisorySplitMatchesRuleCatalog) {
   EXPECT_TRUE(IsAdvisoryRule(kLockDiscipline));
   EXPECT_FALSE(IsAdvisoryRule(kDiscardedStatus));
   EXPECT_FALSE(IsAdvisoryRule(kBareThrow));
-  EXPECT_FALSE(IsAdvisoryRule(kStampAudit));
   EXPECT_FALSE(IsAdvisoryRule(kXtuDiscardedStatus));
-  EXPECT_EQ(AllRules().size(), 13u);
+  EXPECT_EQ(AllRules().size(), 12u);
 }
 
 }  // namespace

@@ -297,8 +297,6 @@ inline std::vector<TreeScheme::DetectablePair> EagerPoolPairs(
   }
   DecompositionOptions dopts;
   dopts.shuffle_seed = options.key.Derive(0xDEC0).k0;
-  dopts.min_region_size = options.min_region_size;
-  dopts.max_region_size = options.max_region_size;
   const std::vector<MarkRegion> regions = FullRerunFindMarkRegions(
       t, labels, base_count, query, param_arity, dopts, nullptr, &active);
 

@@ -17,39 +17,15 @@
 namespace qpwm {
 namespace {
 
-// --- Generation-stamped query caches -----------------------------------------
+// --- Query binding -----------------------------------------------------------
 //
-// Regression coverage for the cache-identity bug the stream soak exposed:
-// the lazy per-structure caches in DistanceQuery / AtomQuery key on the
-// structure's address, which identifies nothing once the structure mutates
-// in place (or a new structure reuses a dead one's address). The generation
-// stamp must invalidate those hits.
+// Regression coverage for the stale-answer bug the stream soak exposed: query
+// state kept per structure address answered from a structure's old state
+// after it mutated in place (or after a new structure reused a dead one's
+// address). A query is now bound to the structure it reads: the one-shot
+// Evaluate binds per call, and each QueryIndex binds once.
 
-TEST(GenerationStampTest, MutationAndCopySemantics) {
-  Structure g = CycleGraph(8, true);
-  const uint64_t g0 = g.generation();
-
-  Structure copy = g;
-  EXPECT_NE(copy.generation(), g0);  // a copy is a distinct logical state
-
-  g.AddTuple(size_t{0}, Tuple{0, 4});
-  const uint64_t g1 = g.generation();
-  EXPECT_NE(g1, g0);
-
-  g.Seal();  // sorting reorders tuple indices -> also a cache-visible change
-  const uint64_t g2 = g.generation();
-  EXPECT_NE(g2, g1);
-
-  (void)g.mutable_relation(0);  // non-const access assumes mutation
-  EXPECT_NE(g.generation(), g2);
-
-  // Const reads never bump.
-  const uint64_t g3 = g.generation();
-  (void)g.relation(size_t{0}).size();
-  EXPECT_EQ(g.generation(), g3);
-}
-
-TEST(GenerationStampTest, DistanceQuerySeesInPlaceMutation) {
+TEST(QueryBindingTest, DistanceQuerySeesInPlaceMutation) {
   Structure g = CycleGraph(8, true);
   DistanceQuery query(1);
   EXPECT_EQ(query.Evaluate(g, Tuple{0}).size(), 3u);  // {7, 0, 1}
@@ -62,7 +38,7 @@ TEST(GenerationStampTest, DistanceQuerySeesInPlaceMutation) {
   EXPECT_EQ(query.Evaluate(g, Tuple{0}).size(), 4u);  // {7, 0, 1, 4}
 }
 
-TEST(GenerationStampTest, AtomQuerySeesInPlaceMutation) {
+TEST(QueryBindingTest, AtomQuerySeesInPlaceMutation) {
   Structure g = CycleGraph(8, true);
   auto query = AtomQuery::Adjacency("E");
   EXPECT_EQ(query->Evaluate(g, Tuple{0}).size(), 2u);
@@ -70,6 +46,42 @@ TEST(GenerationStampTest, AtomQuerySeesInPlaceMutation) {
   g.AddTuple(size_t{0}, Tuple{0, 4});
   g.Seal();
   EXPECT_EQ(query->Evaluate(g, Tuple{0}).size(), 3u);
+}
+
+TEST(QueryBindingTest, QueryIndexRebuiltInPlaceSeesEdit) {
+  Structure g = CycleGraph(8, true);
+  auto query = AtomQuery::Adjacency("E");
+  // The even elements form the domain; the odd ones are served out of it.
+  std::vector<Tuple> evens;
+  for (ElemId e = 0; e < 8; e += 2) evens.push_back(Tuple{e});
+  const QueryIndex before(g, *query, evens);
+  ASSERT_EQ(before.ResultFor(0).size(), 2u);  // W_0 = {1, 7}
+
+  // In-place edit, so the second index is built at the same address.
+  g.AddTuple(size_t{0}, Tuple{0, 4});
+  g.AddTuple(size_t{0}, Tuple{1, 5});
+  g.Seal();
+  const QueryIndex after(g, *query, evens);
+  ASSERT_EQ(&after.structure(), &before.structure());
+  EXPECT_EQ(after.ResultFor(0).size(), 3u);   // {1, 4, 7}
+  EXPECT_EQ(before.ResultFor(0).size(), 2u);  // the first index keeps its rows
+
+  // Out-of-domain parameters are answered through the index's own binding.
+  WeightMap w(1, g.universe_size());
+  for (ElemId e = 0; e < 8; ++e) w.SetElem(e, 10 + e);
+  const HonestServer server(after, w);
+  for (ElemId e = 1; e < 8; e += 2) {
+    ASSERT_FALSE(after.FindParam(Tuple{e}).ok());
+    const std::vector<Tuple> expected = after.bound()(Tuple{e});
+    EXPECT_EQ(expected, query->Evaluate(g, Tuple{e}));
+    const AnswerSet answers = server.Answer(Tuple{e});
+    ASSERT_EQ(answers.size(), expected.size()) << "param " << e;
+    for (size_t i = 0; i < answers.size(); ++i) {
+      EXPECT_EQ(answers[i].element, expected[i]);
+      EXPECT_EQ(answers[i].weight, w.Get(expected[i]));
+    }
+  }
+  EXPECT_EQ(server.Answer(Tuple{1}).size(), 3u);  // {0, 2, 5}: sees the 1-5 chord
 }
 
 // --- Update generator --------------------------------------------------------

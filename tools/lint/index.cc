@@ -6,12 +6,11 @@
 //     names (shared with the classic per-file rules),
 //   - classes with their data members and QPWM_GUARDED_BY / QPWM_VIEW_OF /
 //     QPWM_VIEW_TYPE annotations,
-//   - functions and methods with parameter/body token spans, coarse callee
-//     sets, `x.Bump(` targets and QPWM_REQUIRES sets.
+//   - functions and methods with parameter/body token spans and
+//     QPWM_REQUIRES sets.
 //
 // MergeSymbols folds per-file symbols into the shared LintContext;
-// FinalizeContext closes the index (builtin view types + transitive
-// stamp-bump closure over the same-class call graph).
+// FinalizeContext closes the index (builtin view types).
 #include "internal.h"
 #include "lint.h"
 
@@ -391,7 +390,6 @@ void ParseClassMembers(const FileScan& scan, size_t body_begin, size_t body_end,
             if (tok == "static") m.is_static = true;
             if (tok == "mutex" || tok == "Mutex") m.is_mutex = true;
             if (tok == "atomic") m.is_atomic = true;
-            if (tok == "GenerationStamp") m.is_stamp = true;
           }
           m.type = std::move(type);
           if (!m.type.empty()) cls.members.push_back(std::move(m));
@@ -416,14 +414,12 @@ void ScanStructure(const FileScan& scan, FileSymbols& out,
     }
     return name;
   };
-  auto active_function = [&]() -> FunctionSym* {
+  auto in_function = [&] {
     for (size_t k = stack.size(); k-- > 0;) {
-      if (stack[k].kind == Scope::kFunction) {
-        return &out.functions[stack[k].sym];
-      }
+      if (stack[k].kind == Scope::kFunction) return true;
       if (stack[k].kind == Scope::kClass) break;
     }
-    return nullptr;
+    return false;
   };
 
   for (size_t i = 0; i < t.size(); ++i) {
@@ -537,18 +533,8 @@ void ScanStructure(const FileScan& scan, FileSymbols& out,
       continue;
     }
 
-    // Function facts inside an active body.
-    if (FunctionSym* fn = active_function()) {
-      if (IsIdent(t, i) && Is(t, i + 1, "(") && !IsKeyword(x) &&
-          !StartsWithQpwmMacro(x)) {
-        fn->calls.insert(x);
-      }
-      if ((x == "." || x == "->") && Is(t, i + 1, "Bump") &&
-          Is(t, i + 2, "(") && i > 0 && IsIdent(t, i - 1)) {
-        fn->bump_targets.insert(t[i - 1].text);
-      }
-      continue;
-    }
+    // A function body holds no further declarations to index.
+    if (in_function()) continue;
 
     // Function/method detection at namespace or class scope.
     const bool scope_ok =
@@ -658,14 +644,10 @@ void MergeSymbols(const FileSymbols& syms, LintContext& ctx) {
     } else {
       dst.is_definition = dst.is_definition || fn.is_definition;
       dst.is_ctor_or_dtor = dst.is_ctor_or_dtor || fn.is_ctor_or_dtor;
-      dst.bump_targets.insert(fn.bump_targets.begin(), fn.bump_targets.end());
-      dst.calls.insert(fn.calls.begin(), fn.calls.end());
       dst.requires_mutexes.insert(fn.requires_mutexes.begin(),
                                   fn.requires_mutexes.end());
       if (fn.is_definition) dst.line = fn.line;
     }
-    std::set<std::string>& edges = ctx.call_graph[key];
-    edges.insert(fn.calls.begin(), fn.calls.end());
   }
 }
 
@@ -685,22 +667,6 @@ void FinalizeContext(LintContext& ctx) {
     const size_t sep = name.rfind("::");
     ctx.view_types.insert(sep == std::string::npos ? name
                                                    : name.substr(sep + 2));
-  }
-  // Transitive stamp-bump closure: a method that calls (same-class) a bumper
-  // is itself a bumper. Fixpoint over the coarse call graph.
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (auto& [key, fn] : ctx.functions) {
-      if (fn.class_name.empty()) continue;
-      for (const std::string& callee : fn.calls) {
-        const auto it = ctx.functions.find(fn.class_name + "::" + callee);
-        if (it == ctx.functions.end()) continue;
-        for (const std::string& target : it->second.bump_targets) {
-          if (fn.bump_targets.insert(target).second) changed = true;
-        }
-      }
-    }
   }
   ctx.finalized = true;
 }

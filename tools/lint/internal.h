@@ -118,15 +118,13 @@ inline void Report(const FileScan& scan, int line, const char* rule,
 }
 
 // --- Cross-TU rule families (xtu_rules.cc) ----------------------------------
-// All four consume the per-file symbols (fresh spans into `scan`) plus the
+// All three consume the per-file symbols (fresh spans into `scan`) plus the
 // finalized merged context.
 
 void CheckViewEscape(const FileScan& scan, const FileSymbols& syms,
                      const LintContext& ctx, std::vector<Finding>& out);
 void CheckLockDiscipline(const FileScan& scan, const FileSymbols& syms,
                          const LintContext& ctx, std::vector<Finding>& out);
-void CheckStampAudit(const FileScan& scan, const FileSymbols& syms,
-                     const LintContext& ctx, std::vector<Finding>& out);
 void CheckXtuDiscardedStatus(const FileScan& scan, const FileSymbols& syms,
                              const LintContext& ctx,
                              std::vector<Finding>& out);

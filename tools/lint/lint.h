@@ -51,10 +51,6 @@
 //                        QPWM_VIEW_OF(owner) annotation, returned rooted at
 //                        a function-local owner, or captured by reference in
 //                        a returned lambda — the PR-3 dangling-view class
-//     stamp-audit        a method of a GenerationStamp-carrying class that
-//                        mutates object state without bumping the stamp or
-//                        calling (transitively) a method that does — the
-//                        PR-6 stale pointer-keyed cache class
 //
 //   flat storage
 //     legacy-tuple-vector
@@ -68,11 +64,12 @@
 //
 // Architecture: a TWO-PASS, cross-translation-unit analysis. Pass 1
 // tokenizes every file and builds a project symbol index (Status APIs,
-// unordered-container names, classes with their members/annotations, a
-// coarse call graph, view-like types). Pass 2 re-walks each file's tokens
-// and runs the rule families against the merged index, so a rule firing in
-// one TU can depend on declarations made in another (a guarded member
-// declared in a header is enforced in the .cc that touches it). Every run
+// unordered-container names, classes with their members/annotations,
+// functions with their body spans, view-like types). Pass 2 re-walks each
+// file's tokens and runs the rule families against the merged index, so a
+// rule firing in one TU can depend on declarations made in another (a
+// guarded member declared in a header is enforced in the .cc that touches
+// it). Every run
 // scans the whole file set; there is no cache between runs.
 //
 // The analysis is a tokenizer plus pattern rules, not a full parser: it is
@@ -105,7 +102,6 @@ inline constexpr char kParallelMutation[] = "parallel-mutation";
 inline constexpr char kLegacyTupleVector[] = "legacy-tuple-vector";
 inline constexpr char kViewEscape[] = "view-escape";
 inline constexpr char kLockDiscipline[] = "lock-discipline";
-inline constexpr char kStampAudit[] = "stamp-audit";
 
 /// All rule ids, for --help and allow() validation.
 const std::vector<std::string>& AllRules();
@@ -155,7 +151,6 @@ struct MemberSym {
   bool is_static = false;
   bool is_mutex = false;   // type mentions Mutex / mutex
   bool is_atomic = false;  // type mentions atomic
-  bool is_stamp = false;   // type mentions GenerationStamp
   bool has_view_of = false;       // QPWM_VIEW_OF(...) present
   std::string guarded_by;         // mutex name from QPWM_GUARDED_BY, or ""
 };
@@ -168,10 +163,6 @@ struct FunctionSym {
   int line = 0;
   bool is_definition = false;
   bool is_ctor_or_dtor = false;
-  /// Body contains `<ident>.Bump(` — targets of generation-stamp bumps.
-  std::set<std::string> bump_targets;
-  /// Coarse callees: identifiers directly followed by `(` in the body.
-  std::set<std::string> calls;
   /// Mutex names from QPWM_REQUIRES(...) on the declaration or definition.
   std::set<std::string> requires_mutexes;
   /// Token span of the body in the declaring file's scan (kNoBody when
@@ -224,8 +215,6 @@ struct LintContext {
   // a declaration in a header and a definition in a .cc contribute to one
   // entry, so QPWM_REQUIRES on the declaration is honored at the definition.
   std::map<std::string, FunctionSym> functions;
-  // Coarse call graph over the same keys; values are bare callee names.
-  std::map<std::string, std::set<std::string>> call_graph;
   // View-like type names: the builtin set plus every QPWM_VIEW_TYPE class.
   // Unqualified (last component) names.
   std::set<std::string> view_types;
@@ -239,9 +228,8 @@ void MergeSymbols(const FileSymbols& syms, LintContext& ctx);
 /// file's symbols, whose token spans pass 2 reads (AnalyzeFile).
 FileSymbols CollectContext(const FileScan& scan, LintContext& ctx);
 
-/// Closes the index after every file merged: seeds the builtin view types,
-/// adds QPWM_VIEW_TYPE classes, resolves transitive stamp-bump reachability.
-/// Must run before AnalyzeFile.
+/// Closes the index after every file merged: seeds the builtin view types
+/// and adds QPWM_VIEW_TYPE classes. Must run before AnalyzeFile.
 void FinalizeContext(LintContext& ctx);
 
 // --- Pass 2: analysis --------------------------------------------------------
@@ -291,7 +279,7 @@ bool RunLint(const DriverOptions& opt, DriverResult& result);
 
 /// JSON report schema version; bump on any shape change and document in
 /// docs/static-analysis.md.
-inline constexpr int kReportSchemaVersion = 4;
+inline constexpr int kReportSchemaVersion = 5;
 
 /// Serializes findings as a JSON report. Returns false if unwritable.
 bool WriteReport(const std::string& path, const DriverResult& result);

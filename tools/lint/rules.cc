@@ -41,8 +41,7 @@ const std::vector<std::string>& AllRules() {
       kDiscardedStatus, kXtuDiscardedStatus, kNodiscardStatus,
       kRawStatus,       kBareAbort,          kBareThrow,
       kNondeterministicRandom, kUnorderedIter, kParallelMutation,
-      kLegacyTupleVector, kViewEscape,       kLockDiscipline,
-      kStampAudit};
+      kLegacyTupleVector, kViewEscape,       kLockDiscipline};
   return kAll;
 }
 
@@ -487,7 +486,6 @@ void AnalyzeFile(const FileScan& scan_in, const FileSymbols& syms, const LintCon
   timed(kLegacyTupleVector, [&] { CheckLegacyTupleVector(scan, out); });
   timed(kViewEscape, [&] { CheckViewEscape(scan, syms, ctx, out); });
   timed(kLockDiscipline, [&] { CheckLockDiscipline(scan, syms, ctx, out); });
-  timed(kStampAudit, [&] { CheckStampAudit(scan, syms, ctx, out); });
   timed(kXtuDiscardedStatus,
         [&] { CheckXtuDiscardedStatus(scan, syms, ctx, out); });
 }

@@ -1,9 +1,8 @@
-// Pass 2, cross-TU rule families for qpwm_lint: view-escape, lock-discipline,
-// stamp-audit and interprocedural discarded-Status. Each rule consumes the
-// analyzed file's own symbols (with live token spans) plus the merged,
-// finalized project context, so a guarded member declared in a header is
-// enforced in every .cc that touches it and a stamp bump buried two calls
-// deep still counts. See lint.h for the rule catalog and docs/
+// Pass 2, cross-TU rule families for qpwm_lint: view-escape, lock-discipline
+// and interprocedural discarded-Status. Each rule consumes the analyzed
+// file's own symbols (with live token spans) plus the merged, finalized
+// project context, so a guarded member declared in a header is enforced in
+// every .cc that touches it. See lint.h for the rule catalog and docs/
 // static-analysis.md for the architecture.
 #include <string>
 
@@ -288,70 +287,6 @@ void CheckLockDiscipline(const FileScan& scan, const FileSymbols& syms,
                  mutex + "'; lock it or annotate the method QPWM_REQUIRES(" +
                  mutex + ")",
              out);
-    }
-  }
-}
-
-// lifetime/identity: mutating methods of stamp-carrying classes must bump.
-void CheckStampAudit(const FileScan& scan, const FileSymbols& syms,
-                     const LintContext& ctx, std::vector<Finding>& out) {
-  static const std::set<std::string> kMutators = {
-      "push_back", "emplace_back", "emplace", "insert",  "erase",
-      "clear",     "resize",       "pop_back", "assign", "reserve",
-      "merge",     "swap",         "store",    "Add",    "Seal",
-      "SetTuplesUnchecked", "SwapFlatUnchecked", "ClearKeepCapacity"};
-  static const std::set<std::string> kAssignOps = {
-      "=", "+=", "-=", "*=", "/=", "%=", "|=", "&=", "^=", "<<=", ">>="};
-  const std::vector<Token>& t = scan.tokens;
-
-  for (const FunctionSym& fn : syms.functions) {
-    if (fn.body_begin == kNoBody || fn.body_end == kNoBody) continue;
-    if (fn.class_name.empty() || fn.is_ctor_or_dtor) continue;
-    const auto cls = ctx.classes.find(fn.class_name);
-    if (cls == ctx.classes.end()) continue;
-    std::string stamp;
-    std::set<std::string> state;
-    for (const MemberSym& m : cls->second.members) {
-      if (m.is_stamp) stamp = m.name;
-      else if (!m.is_static && !m.is_mutable && !m.is_atomic) {
-        state.insert(m.name);
-      }
-    }
-    if (stamp.empty() || state.empty()) continue;
-
-    bool bumps = fn.bump_targets.count(stamp) > 0;
-    if (!bumps) {
-      const auto merged = ctx.functions.find(FnKey(fn));
-      // bump_targets carries the transitive closure after FinalizeContext.
-      bumps = merged != ctx.functions.end() &&
-              merged->second.bump_targets.count(stamp) > 0;
-    }
-    if (bumps) continue;
-
-    for (size_t i = fn.body_begin + 1; i < fn.body_end; ++i) {
-      if (!IsIdent(t, i) || state.count(t[i].text) == 0) continue;
-      const std::string prev = i > 0 ? t[i - 1].text : "";
-      if (prev == "." || prev == "->" || prev == "::") continue;
-      size_t j = i + 1;
-      if (Is(t, j, "[")) {
-        j = SkipBalanced(t, j);
-        if (j == kNpos) continue;
-      }
-      const bool assigned = j < t.size() && kAssignOps.count(t[j].text) > 0;
-      const bool incremented = Is(t, j, "++") || Is(t, j, "--") ||
-                               prev == "++" || prev == "--";
-      const bool mutated_call = (Is(t, j, ".") || Is(t, j, "->")) &&
-                                IsIdent(t, j + 1) &&
-                                kMutators.count(t[j + 1].text) > 0 &&
-                                Is(t, j + 2, "(");
-      if (!assigned && !incremented && !mutated_call) continue;
-      Report(scan, t[i].line, kStampAudit,
-             "method '" + FnKey(fn) + "' mutates '" + t[i].text +
-                 "' without bumping GenerationStamp '" + stamp +
-                 "' (directly or via a bumping callee); pointer-keyed " +
-                 "caches would serve stale answers (PR-6 bug class)",
-             out);
-      break;  // one finding per method is enough
     }
   }
 }

@@ -431,6 +431,8 @@ Result<CsvSetup> SetupCsv(const Args& args, const std::string& csv_path) {
   auto query = ConjunctiveQuery::Parse(query_text.value());
   if (!query.ok()) return query.status();
   setup.query = std::make_unique<ConjunctiveQuery>(std::move(query).value());
+  const Status fits = setup.query->CheckSignature(setup.instance->structure.signature());
+  if (!fits.ok()) return fits;
 
   // Parameter domain: all values of --param-column, or the full universe.
   std::vector<Tuple> domain;
