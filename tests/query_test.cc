@@ -83,6 +83,17 @@ TEST(AtomQueryTest, CachesPerStructure) {
   EXPECT_TRUE(q->Evaluate(s1, Tuple{3}).empty());       // cache not confused
 }
 
+TEST(AtomQueryDeathTest, BindingAbortsOnShrunkRelation) {
+  Structure s = CycleGraph(4, false);
+  auto q = AtomQuery::Adjacency("E");
+  const BoundQuery bound = q->Bind(s);
+  EXPECT_EQ(bound(Tuple{3}).size(), 1u);
+  // A binding indexes the rows it saw; an edit after Bind needs a fresh Bind.
+  s.mutable_relation(0).SetTuplesUnchecked({Tuple{0, 1}});
+  EXPECT_DEATH(bound(Tuple{3}), "ids\\.size");
+  EXPECT_EQ(q->Bind(s)(Tuple{0}), (std::vector<Tuple>{{1}}));
+}
+
 TEST(DistanceQueryTest, SphereSemantics) {
   Structure s = PathGraph(7, false);
   DistanceQuery q(2);
